@@ -17,13 +17,11 @@
 // hits the session cache, so this curve measures the catalog's shared
 // read path.
 //
-// Multi-table mixed (PR 10): N tables, each thread owning a disjoint
-// write set — 50% replaces into the thread's own table, 50% point reads
-// of other tables.  Run twice, against a per-table-locking engine and an
-// identical engine pinned to the legacy single global mutex
-// (EngineOptions::per_table_locks = false); the spread is what the
-// LockManager's per-table footprint locking buys when writers don't
-// actually collide.
+// Multi-table mixed: N tables, each thread owning a disjoint write set —
+// 50% replaces into its own table, 50% range reads of it.  Writers never
+// collide, so this measures what the LockManager's per-table footprint
+// locking buys; the single-global-mutex baseline it was measured against
+// is frozen in EXPERIMENTS.md (PERF-9).
 //
 // Google Benchmark's ->Threads(t) runs the loop in t OS threads; each
 // thread holds its own Session, as a real client would.  qps counters are
@@ -74,11 +72,10 @@ constexpr int kTables = 8;
 constexpr int kRowsPerTable = 200;
 
 // Builds an engine with kTables identical indexed tables
-// wset_0..wset_{N-1}.  `per_table` selects the locking scheme under test.
-Engine* MakeMultiTableEngine(bool per_table) {
+// wset_0..wset_{N-1}.
+Engine* MakeMultiTableEngine() {
   EngineOptions opts;
   opts.pool_threads = 4;
-  opts.per_table_locks = per_table;
   auto owned = Engine::Create(opts).value();
   auto session = owned->CreateSession();
   for (int t = 0; t < kTables; ++t) {
@@ -97,28 +94,19 @@ Engine* MakeMultiTableEngine(bool per_table) {
   return owned.release();
 }
 
-Engine& MultiTablePerTableEngine() {
-  static Engine* engine = MakeMultiTableEngine(/*per_table=*/true);
-  return *engine;
-}
-
-Engine& MultiTableGlobalLockEngine() {
-  static Engine* engine = MakeMultiTableEngine(/*per_table=*/false);
-  return *engine;
-}
-
 // 50% indexed point replaces + 50% half-table range retrieves, each
 // thread confined to its own table (table index = thread index mod
 // kTables), so write sets — and whole footprints — are disjoint by
 // construction.  Both statements are prepared once and bound per call,
 // so the loop measures lock scheduling, not parsing.  The range read is
-// deliberately scan-heavy: under the global mutex it holds the shared
+// deliberately scan-heavy: under a global mutex it would hold the shared
 // side long enough that every other thread's replace blocks behind it
-// (and queued writers then stall later readers — the classic convoy);
-// under per-table locks disjoint threads never touch the same lock word
-// beyond the shared intent layer, so nobody ever sleeps.
-void RunMultiTableMixed(benchmark::State& state, Engine& engine) {
-  auto session = engine.CreateSession();
+// (the classic convoy); under per-table locks disjoint threads never
+// touch the same lock word beyond the shared intent layer, so nobody
+// ever sleeps.
+void BM_EngineMultiTableMixed(benchmark::State& state) {
+  static Engine* engine = MakeMultiTableEngine();
+  auto session = engine->CreateSession();
   const std::string table =
       "wset_" + std::to_string(state.thread_index() % kTables);
   auto read = session->Prepare("retrieve (w.v) from w in " + table +
@@ -146,14 +134,6 @@ void RunMultiTableMixed(benchmark::State& state, Engine& engine) {
   state.counters["qps"] =
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
-}
-
-void BM_EngineMultiTableMixed(benchmark::State& state) {
-  RunMultiTableMixed(state, MultiTablePerTableEngine());
-}
-
-void BM_EngineMultiTableMixedGlobalLock(benchmark::State& state) {
-  RunMultiTableMixed(state, MultiTableGlobalLockEngine());
 }
 
 void BM_EngineReadHeavy(benchmark::State& state) {
@@ -253,8 +233,6 @@ BENCHMARK(BM_EngineCalScript)->Threads(1)->Threads(2)->Threads(4)->Threads(8)
 BENCHMARK(BM_EngineExecuteBatch)->UseRealTime();
 BENCHMARK(BM_EngineMultiTableMixed)->Threads(1)->Threads(2)->Threads(4)
     ->UseRealTime();
-BENCHMARK(BM_EngineMultiTableMixedGlobalLock)->Threads(1)->Threads(2)
-    ->Threads(4)->UseRealTime();
 
 }  // namespace
 }  // namespace caldb

@@ -6,7 +6,7 @@
 //                        owns the database, the CALENDARS catalog, the
 //                        temporal-rule manager and the DBCRON daemon;
 //                        executes statements concurrently on a thread
-//                        pool behind a reader/writer lock.  Set
+//                        pool under per-table locks.  Set
 //                        EngineOptions::data_dir to make it durable —
 //                        WAL + snapshot recovery, docs/DURABILITY.md.
 //   caldb::Session       a per-client handle (engine/session.h): window,
@@ -19,12 +19,10 @@
 //                        Session::Prepare(text) compiles once through the
 //                        engine-wide statement cache; handle.Execute({...})
 //                        binds $1..$n placeholder values and runs parse-
-//                        free (db/compiled_statement.h).  This is THE
-//                        prepared path — the older pair of raw-handle
-//                        entry points, Session::Execute(CompiledStatement-
-//                        Ptr) and Engine::ExecuteCompiled, are deprecated
-//                        duplicates kept for source compatibility; see
-//                        the migration note on Session::Execute(handle).
+//                        free (db/compiled_statement.h).  This is the
+//                        one prepared path; it and Session::Execute(text)
+//                        share one engine statement path (bind check,
+//                        lock, WAL append).
 //   caldb::QueryResult   columns + rows, or a DML/DDL summary message.
 //   caldb::Status        error model (common/status.h): caldb never
 //   caldb::Result<T>     throws across this facade; every fallible call

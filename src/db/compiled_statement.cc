@@ -293,17 +293,18 @@ CompiledStatementPtr CompileParsedStatement(Statement stmt, std::string text,
   return compiled;
 }
 
-Status CheckParamList(const CompiledStatement& compiled,
-                      const ParamList& params) {
-  if (static_cast<int>(params.size()) != compiled.param_count) {
+Result<EvalScope> BindParams(const CompiledStatement& compiled,
+                             const ParamList* params) {
+  const size_t bound = params == nullptr ? 0 : params->size();
+  if (static_cast<int>(bound) != compiled.param_count) {
     return Status::InvalidArgument(
         "statement expects " + std::to_string(compiled.param_count) +
         " parameter(s) " + RenderParamSignature(compiled) + ", got " +
-        std::to_string(params.size()));
+        std::to_string(bound) + "; bind one value per placeholder");
   }
-  for (size_t i = 0; i < params.size(); ++i) {
+  for (size_t i = 0; i < bound; ++i) {
     const ValueType expected = compiled.param_types[i];
-    const ValueType actual = params[i].type();
+    const ValueType actual = (*params)[i].type();
     if (expected == ValueType::kNull || actual == ValueType::kNull) continue;
     const bool both_numeric =
         (expected == ValueType::kInt || expected == ValueType::kFloat) &&
@@ -312,11 +313,13 @@ Status CheckParamList(const CompiledStatement& compiled,
       return Status::InvalidArgument(
           "parameter $" + std::to_string(i + 1) + " expects " +
           std::string(ParamTypeName(expected)) + ", got " +
-          std::string(ParamTypeName(actual)) + " (" + params[i].ToString() +
-          ")");
+          std::string(ParamTypeName(actual)) + " (" +
+          (*params)[i].ToString() + ")");
     }
   }
-  return Status::OK();
+  EvalScope scope;
+  scope.params = params;
+  return scope;
 }
 
 std::string RenderParamSignature(const CompiledStatement& compiled) {

@@ -101,12 +101,16 @@ CompiledStatementPtr CompileParsedStatement(Statement stmt, std::string text,
 /// one cache entry no matter what values are later bound to it.
 std::string NormalizeStatementText(std::string_view text);
 
-/// Validates a bind list against the compiled signature: exact arity
-/// (params.size() == param_count); kInt and kFloat interchange as one
+/// The bind step: the one place a bind list is checked against a compiled
+/// signature, run once per statement before any lock or WAL append.
+/// Requires exact arity (a null `params` binds nothing, so it passes only
+/// a statement without placeholders); kInt and kFloat interchange as one
 /// numeric class; a null value binds any slot; an inferred kNull ("any")
-/// slot accepts any value.  Returns InvalidArgument on mismatch.
-Status CheckParamList(const CompiledStatement& compiled,
-                      const ParamList& params);
+/// slot accepts any value.  Returns InvalidArgument on mismatch, else the
+/// scope evaluation reads the values from — in place, so `params` must
+/// outlive it.
+Result<EvalScope> BindParams(const CompiledStatement& compiled,
+                             const ParamList* params);
 
 /// Renders the parameter signature for tooling, e.g. "($1:int, $2:any)";
 /// "()" when the statement takes no parameters.

@@ -143,83 +143,34 @@ EvalScope Database::MakeScope(const EvalScope* ambient) const {
   return scope;
 }
 
-Result<QueryResult> Database::Execute(const std::string& query,
-                                      const EvalScope* ambient) {
-  Metrics().statements->Increment();
-  obs::ScopedLatency latency(Metrics().statement_ns);
-  obs::Tracer::Span span = obs::StartSpan("db.execute");
-  CALDB_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(query));
-  return ExecuteParsed(stmt, ambient, query);
-}
-
-Result<QueryResult> Database::Replay(const std::string& statement) {
-  CALDB_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
-  return ExecuteParsedImpl(stmt, nullptr);
-}
-
-Result<QueryResult> Database::Replay(const CompiledStatement& compiled) {
-  return ExecuteParsedImpl(*compiled.stmt, nullptr);
-}
-
-Result<QueryResult> Database::Replay(const CompiledStatement& compiled,
-                                     const ParamList& params) {
-  CALDB_RETURN_IF_ERROR(CheckParamList(compiled, params));
-  EvalScope ambient;
-  ambient.params = &params;
-  return ExecuteParsedImpl(*compiled.stmt, &ambient);
+Result<QueryResult> Database::Execute(const std::string& query) {
+  CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
+                         CompileStatement(query));
+  CALDB_ASSIGN_OR_RETURN(EvalScope bound, BindParams(*compiled, nullptr));
+  return Run(*compiled, bound);
 }
 
 Result<CompiledStatementPtr> Database::Prepare(std::string_view query) {
   return CompileStatement(query);
 }
 
-Result<QueryResult> Database::ExecuteCompiled(const CompiledStatement& compiled,
-                                              const EvalScope* ambient) {
-  if (compiled.param_count > 0 &&
-      (ambient == nullptr || ambient->params == nullptr)) {
-    // Fail fast with the signature instead of an eval-time "not bound".
-    return Status::InvalidArgument(
-        "statement expects " + std::to_string(compiled.param_count) +
-        " parameter(s) " + RenderParamSignature(compiled) +
-        "; bind them with the parameterized execute");
-  }
+Result<QueryResult> Database::Run(const CompiledStatement& compiled,
+                                  const EvalScope& bound, RunMode mode) {
+  if (mode == RunMode::kReplay) return Dispatch(*compiled.stmt, &bound);
   Metrics().statements->Increment();
-  obs::ScopedLatency latency(Metrics().statement_ns);
+  if (!obs::Enabled()) return Dispatch(*compiled.stmt, &bound);
   obs::Tracer::Span span = obs::StartSpan("db.execute");
-  return ExecuteParsed(*compiled.stmt, ambient, compiled.text);
-}
-
-Result<QueryResult> Database::ExecuteCompiled(const CompiledStatement& compiled,
-                                              const ParamList& params,
-                                              const EvalScope* ambient) {
-  CALDB_RETURN_IF_ERROR(CheckParamList(compiled, params));
-  Metrics().statements->Increment();
-  obs::ScopedLatency latency(Metrics().statement_ns);
-  obs::Tracer::Span span = obs::StartSpan("db.execute");
-  EvalScope scope = MakeScope(ambient);
-  scope.params = &params;
-  return ExecuteParsed(*compiled.stmt, &scope, compiled.text);
-}
-
-Result<QueryResult> Database::ExecuteParsed(const Statement& stmt,
-                                            const EvalScope* ambient,
-                                            std::string_view text) {
-  const int64_t threshold_ns = SlowStatementThresholdNs();
-  if (!obs::Enabled() || threshold_ns <= 0) {
-    return ExecuteParsedImpl(stmt, ambient);
-  }
+  // One pair of clock reads feeds both the latency histogram and the
+  // slow-statement log.
   const int64_t start_ns = obs::NowNs();
-  Result<QueryResult> result = ExecuteParsedImpl(stmt, ambient);
+  Result<QueryResult> result = Dispatch(*compiled.stmt, &bound);
   const int64_t elapsed_ns = obs::NowNs() - start_ns;
-  if (elapsed_ns >= threshold_ns) {
+  Metrics().statement_ns->Record(elapsed_ns);
+  const int64_t threshold_ns = SlowStatementThresholdNs();
+  if (threshold_ns > 0 && elapsed_ns >= threshold_ns) {
     Metrics().slow_statements->Increment();
-    // Prefer the statement text we were handed; fall back to the thread's
-    // LogContext (set by Engine/Session) so even bare ExecuteParsed calls
-    // say what ran.
-    std::string_view stmt_text =
-        !text.empty() ? text : std::string_view(obs::CurrentLogContext().statement);
     obs::LogEvent(obs::LogLevel::kWarn, "db.slow_statement",
-                  {{"stmt", stmt_text},
+                  {{"stmt", compiled.text},
                    {"elapsed_ms", static_cast<double>(elapsed_ns) / 1e6},
                    {"threshold_ms", static_cast<double>(threshold_ns) / 1e6},
                    {"ok", result.ok()}});
@@ -227,8 +178,8 @@ Result<QueryResult> Database::ExecuteParsed(const Statement& stmt,
   return result;
 }
 
-Result<QueryResult> Database::ExecuteParsedImpl(const Statement& stmt,
-                                                const EvalScope* ambient) {
+Result<QueryResult> Database::Dispatch(const Statement& stmt,
+                                       const EvalScope* ambient) {
   if (const auto* retrieve = std::get_if<RetrieveStmt>(&stmt)) {
     return ExecuteRetrieve(*retrieve, ambient);
   }
@@ -392,13 +343,11 @@ Status Database::FireRules(DbEvent event, const std::string& table,
     const int64_t action_start_ns = obs::NowNs();
     if (rule.callback) {
       status = rule.callback(*this, scope);
-    } else if (rule.compiled_command != nullptr) {
-      // The pre-compiled action (DefineRule): firings never parse.
-      Result<QueryResult> r = ExecuteCompiled(*rule.compiled_command, &scope);
-      status = r.status();
-    } else if (!rule.command.empty()) {
-      Result<QueryResult> r = Execute(rule.command, &scope);
-      status = r.status();
+    } else {
+      // The pre-compiled action (DefineRule compiles every command and
+      // rejects placeholders, so NEW/CURRENT is the whole binding):
+      // firings never parse.
+      status = Run(*rule.compiled_command, scope).status();
     }
     {
       // The thread's LogContext still carries the outermost triggering
@@ -1027,8 +976,7 @@ Result<QueryResult> Database::ExecuteExplain(const ExplainStmt& stmt,
 
   const Stats before = stats();
   const int64_t t0 = obs::NowNs();
-  CALDB_ASSIGN_OR_RETURN(QueryResult run, ExecuteParsed(*inner->stmt, ambient,
-                                                        inner->text));
+  CALDB_ASSIGN_OR_RETURN(QueryResult run, Dispatch(*inner->stmt, ambient));
   const int64_t ns = obs::NowNs() - t0;
 
   result.message += "profile: rows_scanned=" +

@@ -73,10 +73,9 @@ class Database {
   bool HasTable(const std::string& name) const;
   std::vector<std::string> ListTables() const;
 
-  /// Parses and executes one statement.  `ambient` supplies extra tuple
-  /// bindings (NEW / CURRENT) when executing rule actions.
-  Result<QueryResult> Execute(const std::string& query,
-                              const EvalScope* ambient = nullptr);
+  /// Compiles and runs one statement with no bind list (a statement with
+  /// $n placeholders fails the bind step).
+  Result<QueryResult> Execute(const std::string& query);
 
   /// Compiles one statement into an immutable, shareable handle without
   /// executing it (db/compiled_statement.h).  A thin wrapper over
@@ -84,44 +83,25 @@ class Database {
   /// StatementCache memoizes this per statement text.
   static Result<CompiledStatementPtr> Prepare(std::string_view query);
 
-  /// Executes a previously compiled statement.  The parse-once entry
-  /// point: repeated executions of one handle never touch the parser.
-  /// Fails with InvalidArgument when `compiled` has placeholders and
-  /// neither this call nor `ambient` supplies a bind list.
-  Result<QueryResult> ExecuteCompiled(const CompiledStatement& compiled,
-                                      const EvalScope* ambient = nullptr);
-  /// Executes a compiled statement with positional parameters bound to
-  /// its $n placeholders: params[0] binds $1, and so on.  The bind list
-  /// is validated against the compiled signature (arity and inferred
-  /// types, CheckParamList) before execution.  `params` must outlive the
-  /// call; values are read in place, never copied into the handle — one
-  /// compiled shape serves every binding concurrently.
-  Result<QueryResult> ExecuteCompiled(const CompiledStatement& compiled,
-                                      const ParamList& params,
-                                      const EvalScope* ambient = nullptr);
-  /// `text`, when provided, is the statement's source — it makes the
-  /// slow-statement log line actionable for callers (the Engine) that
-  /// parse themselves and skip Execute().
-  Result<QueryResult> ExecuteParsed(const Statement& stmt,
-                                    const EvalScope* ambient = nullptr,
-                                    std::string_view text = {});
+  /// How Run treats a statement.  kReplay is recovery (src/storage/):
+  /// a WAL record re-executes through the same dispatch, but skips the
+  /// statement metrics and the slow-statement log — replay latency is
+  /// recovery throughput, not user latency.  Event rules fire exactly as
+  /// they did originally; a statement that failed originally fails
+  /// identically on replay (same state either way).
+  enum class RunMode { kStatement, kReplay };
 
-  /// Recovery entry point (src/storage/): re-executes one WAL statement
-  /// record through the normal dispatch, skipping the slow-statement
-  /// envelope — replay latency is recovery throughput, not user latency.
-  /// Event rules fire exactly as they did originally; a statement that
-  /// failed originally fails identically here (same state either way), so
-  /// callers log and continue on error.
-  Result<QueryResult> Replay(const std::string& statement);
-  /// Replay of an already compiled record — the Engine's recovery path
-  /// routes WAL statements through its StatementCache and hands the
-  /// handles here, so replaying thousands of identical statement shapes
-  /// parses each distinct shape once.
-  Result<QueryResult> Replay(const CompiledStatement& compiled);
-  /// Replay of a parameterized WAL record: one compiled shape, the bound
-  /// values decoded from the record (storage/snapshot.h value codec).
-  Result<QueryResult> Replay(const CompiledStatement& compiled,
-                             const ParamList& params);
+  /// Executes a compiled statement: the one execute path every statement
+  /// takes — Execute, the Engine, rule actions, temporal-rule firings and
+  /// recovery.  `bound` comes from BindParams (db/compiled_statement.h),
+  /// which the caller runs first (the Engine before taking any lock), and
+  /// may carry extra tuple bindings (NEW / CURRENT) for rule actions.
+  /// Records caldb.db.statements, caldb.db.statement_ns, the db.execute
+  /// span and the slow-statement log; repeated runs of one handle never
+  /// touch the parser.
+  Result<QueryResult> Run(const CompiledStatement& compiled,
+                          const EvalScope& bound,
+                          RunMode mode = RunMode::kStatement);
 
   /// Statements slower than this are logged ("db.slow_statement", warn)
   /// and counted in caldb.db.slow_statements.  Process-wide; initialized
@@ -195,10 +175,8 @@ class Database {
       const Table& table, const std::string& var, const DbExpr* where,
       const std::vector<Value>* params = nullptr);
 
-  // The dispatch body behind ExecuteParsed (which adds the slow-statement
-  // timing envelope around it).
-  Result<QueryResult> ExecuteParsedImpl(const Statement& stmt,
-                                        const EvalScope* ambient);
+  // The dispatch body behind Run.
+  Result<QueryResult> Dispatch(const Statement& stmt, const EvalScope* ambient);
 
   Result<QueryResult> ExecuteExplain(const ExplainStmt& stmt,
                                      const EvalScope* ambient);

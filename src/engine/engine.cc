@@ -24,13 +24,6 @@ struct EngineMetrics {
   obs::Gauge* active_sessions_max =
       obs::Metrics().gauge("caldb.engine.active_sessions_max");
   obs::Counter* statements = obs::Metrics().counter("caldb.engine.statements");
-  obs::Counter* read_locks = obs::Metrics().counter("caldb.engine.read_locks");
-  obs::Counter* write_locks =
-      obs::Metrics().counter("caldb.engine.write_locks");
-  obs::Histogram* read_wait_ns =
-      obs::Metrics().histogram("caldb.engine.lock_wait_ns.read");
-  obs::Histogram* write_wait_ns =
-      obs::Metrics().histogram("caldb.engine.lock_wait_ns.write");
   obs::Counter* cron_advances =
       obs::Metrics().counter("caldb.engine.cron.advances");
   obs::Counter* recovery_runs = obs::Metrics().counter("caldb.recovery.runs");
@@ -242,7 +235,9 @@ Status Engine::Recover() {
         Result<QueryResult> r = [&]() -> Result<QueryResult> {
           CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
                                  stmt_cache_.GetOrCompile(record.a));
-          return db_.Replay(*compiled);
+          CALDB_ASSIGN_OR_RETURN(EvalScope bound,
+                                 BindParams(*compiled, nullptr));
+          return db_.Run(*compiled, bound, Database::RunMode::kReplay);
         }();
         if (!r.ok()) note_replay_error(r.status(), record);
         break;
@@ -292,7 +287,9 @@ Status Engine::Recover() {
                                  stmt_cache_.GetOrCompile(record.a));
           CALDB_ASSIGN_OR_RETURN(ParamList params,
                                  storage::DecodeParamValues(record.b));
-          return db_.Replay(*compiled, params);
+          CALDB_ASSIGN_OR_RETURN(EvalScope bound,
+                                 BindParams(*compiled, &params));
+          return db_.Run(*compiled, bound, Database::RunMode::kReplay);
         }();
         if (!r.ok()) note_replay_error(r.status(), record);
         break;
@@ -335,34 +332,6 @@ Status Engine::Recover() {
   return Status::OK();
 }
 
-LockManager::Guard Engine::AcquireRead() const {
-  Metrics().read_locks->Increment();
-  const int64_t t0 = obs::Enabled() ? obs::NowNs() : 0;
-  LockManager::Guard lock = lock_mgr_.AcquireGlobalShared();
-  if (t0 != 0) Metrics().read_wait_ns->Record(obs::NowNs() - t0);
-  return lock;
-}
-
-LockManager::Guard Engine::AcquireWrite() const {
-  Metrics().write_locks->Increment();
-  const int64_t t0 = obs::Enabled() ? obs::NowNs() : 0;
-  LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
-  if (t0 != 0) Metrics().write_wait_ns->Record(obs::NowNs() - t0);
-  return lock;
-}
-
-LockManager::Guard Engine::AcquireStatementTables(
-    const std::vector<std::string>& tables, bool exclusive) const {
-  if (exclusive) {
-    Metrics().write_locks->Increment();
-  } else {
-    Metrics().read_locks->Increment();
-  }
-  // The table_locks.{acquired,wait_ns} instruments are recorded inside
-  // the manager itself (engine/lock_manager.cc).
-  return lock_mgr_.AcquireTables(tables, exclusive);
-}
-
 std::unique_ptr<Session> Engine::CreateSession() {
   Metrics().active_sessions->Add(1);
   Metrics().active_sessions->SetWithMax(Metrics().active_sessions->value(),
@@ -376,20 +345,9 @@ void Engine::ReleaseSession() {
   Metrics().active_sessions->Add(-1);
 }
 
-Result<QueryResult> Engine::Execute(const std::string& statement,
-                                    const EvalScope* ambient) {
-  // The facade's no-throw contract (common/result.h): a defect below this
-  // frame surfaces as kInternal, never as an exception crossing the API.
-  try {
-    Result<QueryResult> result = ExecuteImpl(statement, ambient);
-    MaybeCheckpoint();
-    return result;
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Execute: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Execute");
-  }
+Result<QueryResult> Engine::Execute(const std::string& statement) {
+  CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled, Prepare(statement));
+  return Run(*compiled, nullptr);
 }
 
 Status Engine::LogDurable(storage::WalRecord record) {
@@ -425,7 +383,7 @@ Status Engine::Checkpoint() {
     return Status::InvalidArgument("engine has no data dir to checkpoint to");
   }
   try {
-    LockManager::Guard lock = AcquireWrite();
+    LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
     return CheckpointLocked();
   } catch (const std::exception& e) {
     return Status::Internal(std::string("uncaught exception in Checkpoint: ") +
@@ -459,8 +417,8 @@ Status Engine::DefineCalendar(const std::string& name,
                               std::optional<Interval> lifespan_days) {
   try {
     // The exclusive lock serializes the WAL append with statement/rule
-    // records (lock order: db_mu_ before catalog internals).
-    LockManager::Guard lock = AcquireWrite();
+    // records (lock order: the lock manager before catalog internals).
+    LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
     CALDB_RETURN_IF_ERROR(catalog_.DefineDerived(name, script, lifespan_days));
     storage::WalRecord record;
     record.type = storage::WalRecordType::kDefineCalendar;
@@ -478,7 +436,7 @@ Status Engine::DefineCalendar(const std::string& name,
 
 Status Engine::DropCalendar(const std::string& name) {
   try {
-    LockManager::Guard lock = AcquireWrite();
+    LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
     CALDB_RETURN_IF_ERROR(catalog_.Drop(name));
     storage::WalRecord record;
     record.type = storage::WalRecordType::kDropCalendar;
@@ -492,15 +450,6 @@ Status Engine::DropCalendar(const std::string& name) {
   }
 }
 
-Result<QueryResult> Engine::ExecuteImpl(const std::string& statement,
-                                        const EvalScope* ambient) {
-  // The text pipeline is now compile-through-cache + handle execution:
-  // each distinct statement shape is parsed once per cache residency.
-  CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
-                         stmt_cache_.GetOrCompile(statement));
-  return ExecuteCompiledImpl(*compiled, nullptr, ambient);
-}
-
 Result<CompiledStatementPtr> Engine::Prepare(const std::string& statement) {
   try {
     return stmt_cache_.GetOrCompile(statement);
@@ -512,66 +461,29 @@ Result<CompiledStatementPtr> Engine::Prepare(const std::string& statement) {
   }
 }
 
-Result<QueryResult> Engine::ExecuteCompiled(const CompiledStatementPtr& compiled,
-                                            const EvalScope* ambient) {
-  if (compiled == nullptr || compiled->stmt == nullptr) {
-    return Status::InvalidArgument("null compiled statement");
-  }
+Result<QueryResult> Engine::Run(const CompiledStatement& compiled,
+                                const ParamList* params) {
+  // The facade's no-throw contract (common/result.h): a defect below this
+  // frame surfaces as kInternal, never as an exception crossing the API.
   try {
-    Result<QueryResult> result = ExecuteCompiledImpl(*compiled, nullptr,
-                                                     ambient);
+    Result<QueryResult> result = RunImpl(compiled, params);
     MaybeCheckpoint();
     return result;
   } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in ExecuteCompiled: ") + e.what());
+    return Status::Internal(std::string("uncaught exception in Execute: ") +
+                            e.what());
   } catch (...) {
-    return Status::Internal("uncaught non-exception throw in ExecuteCompiled");
+    return Status::Internal("uncaught non-exception throw in Execute");
   }
 }
 
-Result<QueryResult> Engine::ExecuteCompiled(const CompiledStatementPtr& compiled,
-                                            const ParamList& params,
-                                            const EvalScope* ambient) {
-  if (compiled == nullptr || compiled->stmt == nullptr) {
-    return Status::InvalidArgument("null compiled statement");
-  }
-  try {
-    Result<QueryResult> result = ExecuteCompiledImpl(*compiled, &params,
-                                                     ambient);
-    MaybeCheckpoint();
-    return result;
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in ExecuteCompiled: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in ExecuteCompiled");
-  }
-}
-
-Result<QueryResult> Engine::ExecuteCompiledImpl(const CompiledStatement& compiled,
-                                                const ParamList* params,
-                                                const EvalScope* ambient) {
-  // Bind-list validation happens before any lock or WAL traffic: a bad
-  // arity or type never reaches execution, and an unbound placeholder is
-  // an error here rather than deep inside evaluation.
-  if (params != nullptr) {
-    CALDB_RETURN_IF_ERROR(CheckParamList(compiled, *params));
-  } else if (compiled.param_count > 0 &&
-             (ambient == nullptr || ambient->params == nullptr)) {
-    return Status::InvalidArgument(
-        "statement expects " + std::to_string(compiled.param_count) +
-        " parameter(s) " + RenderParamSignature(compiled) +
-        "; bind them with the parameterized execute");
-  }
-  // Thread the bind list through the ambient scope — evaluation reads
+Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
+                                    const ParamList* params) {
+  // The bind step runs before any lock or WAL traffic: a bad arity or
+  // type never reaches execution, and an unbound placeholder is an error
+  // here rather than deep inside evaluation.  The bound scope reads
   // params in place, so one compiled shape serves every binding.
-  EvalScope bound_scope;
-  if (params != nullptr) {
-    if (ambient != nullptr) bound_scope = *ambient;
-    bound_scope.params = params;
-    ambient = &bound_scope;
-  }
+  CALDB_ASSIGN_OR_RETURN(EvalScope bound, BindParams(compiled, params));
   Metrics().statements->Increment();
   obs::Tracer::Span span = obs::StartSpan("engine.execute");
   // Stamp the statement into the thread's LogContext (keeping whatever
@@ -592,81 +504,63 @@ Result<QueryResult> Engine::ExecuteCompiledImpl(const CompiledStatement& compile
   // everything).  Note armed *retrieve* rules reclassify the retrieve as
   // a write above, and HasRetrieveRules implies HasEventRules — so that
   // case falls back too, as required.
-  const bool per_table =
-      opts_.per_table_locks && compiled.footprint_exact && !compiled.is_ddl &&
-      (!writes || !db_.HasEventRules());
-  if (writes) {
-    span.AddAttr("lock", per_table ? "table-write" : "write");
-    // Encode the bind list for the redo record before taking the lock
-    // (the values are immutable for the duration of the call).
-    std::string encoded_params;
-    if (wal_ != nullptr && params != nullptr && !params->empty()) {
-      CALDB_ASSIGN_OR_RETURN(encoded_params,
-                             storage::EncodeParamValues(*params));
-    }
-    Result<QueryResult> result = [&] {
-      // Per-table DML holds exclusive locks on exactly its tables (under
-      // the shared intent layer); the fallback holds the global exclusive
-      // lock.  Either way the WAL append happens before release, so WAL
-      // order matches execution order per table — concurrent appends from
-      // disjoint-table writers interleave, but those records commute, and
-      // the WalWriter's own mutex keeps each record atomic.
-      LockManager::Guard lock =
-          per_table ? AcquireStatementTables(compiled.tables, true)
-                    : AcquireWrite();
-      Result<QueryResult> r = db_.ExecuteParsed(*compiled.stmt, ambient,
-                                                compiled.text);
-      // Redo-log the statement whatever its outcome: a failing statement
-      // may have applied partial effects, and replaying it fails
-      // identically — deterministic either way.  (Not reached for parse
-      // errors.)  A bound execution logs kParamStatement (text + encoded
-      // values); recovery recompiles the shape once and replays each
-      // record's own bind list.
-      storage::WalRecord redo;
-      if (params != nullptr && !params->empty()) {
-        redo.type = storage::WalRecordType::kParamStatement;
-        redo.a = compiled.text;
-        redo.b = std::move(encoded_params);
-      } else {
-        redo.type = storage::WalRecordType::kStatement;
-        redo.a = compiled.text;
-      }
-      Status logged = LogDurable(std::move(redo));
-      if (!logged.ok() && r.ok()) return Result<QueryResult>(logged);
-      return r;
-    }();
-    // DDL changed schema or rule state: drop cached statements whose
-    // precomputed metadata could now be stale.  Outside the db lock (the
-    // cache mutex is a leaf); statements racing this drop re-compile on
-    // their next miss.  (DDL is never per-table, so the fallback lock
-    // covered the execution.)
-    if (compiled.is_ddl && result.ok()) {
-      stmt_cache_.InvalidateTables(compiled.tables);
-    }
-    return result;
-  }
-  if (per_table) {
+  const bool per_table = compiled.footprint_exact && !compiled.is_ddl &&
+                         (!writes || !db_.HasEventRules());
+  if (!writes) {
     // Shared locks on exactly the retrieve's tables: readers of table A
-    // are oblivious to a writer hammering table B.
-    span.AddAttr("lock", "table-read");
-    LockManager::Guard lock = AcquireStatementTables(compiled.tables, false);
-    return db_.ExecuteParsed(*compiled.stmt, ambient, compiled.text);
+    // are oblivious to a writer hammering table B.  A read without an
+    // exact footprint (hand-built explain, or any shape without exact
+    // metadata) may touch tables it cannot name, and only the global
+    // exclusive lock excludes per-table writers from all of them.
+    span.AddAttr("lock", per_table ? "table-read" : "write");
+    LockManager::Guard lock =
+        per_table ? lock_mgr_.AcquireTables(compiled.tables, false)
+                  : lock_mgr_.AcquireGlobalExclusive();
+    return db_.Run(compiled, bound);
   }
-  if (opts_.per_table_locks) {
-    // A read that did not qualify for the footprint path (hand-built
-    // explain, or any shape without exact metadata) may touch tables it
-    // cannot name: under the per-table scheme only the global exclusive
-    // lock excludes per-table writers from all of them.  The global
-    // *shared* layer alone would not.
-    span.AddAttr("lock", "write");
-    LockManager::Guard lock = AcquireWrite();
-    return db_.ExecuteParsed(*compiled.stmt, ambient, compiled.text);
+  span.AddAttr("lock", per_table ? "table-write" : "write");
+  const bool bound_values = params != nullptr && !params->empty();
+  // Encode the bind list for the redo record before taking the lock
+  // (the values are immutable for the duration of the call).
+  std::string encoded_params;
+  if (wal_ != nullptr && bound_values) {
+    CALDB_ASSIGN_OR_RETURN(encoded_params, storage::EncodeParamValues(*params));
   }
-  // Legacy discipline (per_table_locks = false): every read shares the
-  // one global lock, every write excludes — the single-mutex baseline.
-  span.AddAttr("lock", "read");
-  LockManager::Guard lock = AcquireRead();
-  return db_.ExecuteParsed(*compiled.stmt, ambient, compiled.text);
+  Result<QueryResult> result = [&] {
+    // Per-table DML holds exclusive locks on exactly its tables (under
+    // the shared intent layer); the fallback holds the global exclusive
+    // lock.  Either way the WAL append happens before release, so WAL
+    // order matches execution order per table — concurrent appends from
+    // disjoint-table writers interleave, but those records commute, and
+    // the WalWriter's own mutex keeps each record atomic.
+    LockManager::Guard lock =
+        per_table ? lock_mgr_.AcquireTables(compiled.tables, true)
+                  : lock_mgr_.AcquireGlobalExclusive();
+    Result<QueryResult> r = db_.Run(compiled, bound);
+    // Redo-log the statement whatever its outcome: a failing statement
+    // may have applied partial effects, and replaying it fails
+    // identically — deterministic either way.  (Not reached for parse or
+    // bind errors.)  A bound execution logs kParamStatement (text +
+    // encoded values); recovery recompiles the shape once and replays
+    // each record's own bind list.
+    storage::WalRecord redo;
+    redo.type = bound_values ? storage::WalRecordType::kParamStatement
+                             : storage::WalRecordType::kStatement;
+    redo.a = compiled.text;
+    redo.b = std::move(encoded_params);
+    Status logged = LogDurable(std::move(redo));
+    if (!logged.ok() && r.ok()) return Result<QueryResult>(logged);
+    return r;
+  }();
+  // DDL changed schema or rule state: drop cached statements whose
+  // precomputed metadata could now be stale.  Outside the db lock (the
+  // cache mutex is a leaf); statements racing this drop re-compile on
+  // their next miss.  (DDL is never per-table, so the fallback lock
+  // covered the execution.)
+  if (compiled.is_ddl && result.ok()) {
+    stmt_cache_.InvalidateTables(compiled.tables);
+  }
+  return result;
 }
 
 std::future<Result<QueryResult>> Engine::ExecuteAsync(std::string statement) {
@@ -712,7 +606,7 @@ Result<int64_t> Engine::DeclareRule(const std::string& name,
                                     TemporalAction action,
                                     const std::string& condition_query) {
   try {
-    LockManager::Guard lock = AcquireWrite();
+    LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
     const TimePoint declared_at = Now();
     const std::string command = action.command;
     const bool has_callback = static_cast<bool>(action.callback);
@@ -742,7 +636,7 @@ Result<int64_t> Engine::DeclareRule(const std::string& name,
 }
 
 Status Engine::DropTemporalRule(const std::string& name) {
-  LockManager::Guard lock = AcquireWrite();
+  LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
   CALDB_RETURN_IF_ERROR(rules_->DropRule(name));
   storage::WalRecord record;
   record.type = storage::WalRecordType::kDropRule;
@@ -775,7 +669,7 @@ Status Engine::AdvanceToCivil(const CivilDate& date) {
 DbCron::CronStats Engine::CronStats() const {
   // Firings mutate the stats under the exclusive lock (CronLoop), so a
   // shared lock makes this snapshot race-free.
-  LockManager::Guard lock = AcquireRead();
+  LockManager::Guard lock = lock_mgr_.AcquireGlobalShared();
   return cron_->stats();
 }
 
@@ -806,7 +700,7 @@ void Engine::CronLoop() {
         // one tree per clock advance on the daemon thread.
         obs::Tracer::Span span = obs::StartSpan("cron.advance");
         span.AddAttr("to_day", std::to_string(chunk));
-        LockManager::Guard db_lock = AcquireWrite();
+        LockManager::Guard db_lock = lock_mgr_.AcquireGlobalExclusive();
         st = cron_->AdvanceTo(chunk);
         // Redo-log the advance whatever its status: firings before an
         // error already applied, and replaying the advance reproduces

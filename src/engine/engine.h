@@ -34,9 +34,9 @@
 // reverse edge cannot occur.
 //
 // Observability: "caldb.engine.*" (docs/OBSERVABILITY.md) — active
-// session count, pool queue depth, per-mode lock wait histograms,
-// per-table lock counters (caldb.engine.table_locks.*), statement/script
-// counters.
+// session count, pool queue depth, the lock manager's acquisition
+// counters and wait histogram (caldb.engine.table_locks.*),
+// statement/script counters.
 
 #ifndef CALDB_ENGINE_ENGINE_H_
 #define CALDB_ENGINE_ENGINE_H_
@@ -88,12 +88,6 @@ struct EngineOptions {
   /// session, rule firing and WAL replay share it).  0 disables caching —
   /// each execution compiles fresh.  See engine/statement_cache.h.
   size_t stmt_cache_entries = 512;
-  /// When true (the default), statements with an exact compiled footprint
-  /// lock only their tables (engine/lock_manager.h); when false, every
-  /// write takes the global exclusive lock and every read the global
-  /// shared lock — the pre-PR-10 single-mutex discipline, kept for the
-  /// bench baseline and for bisecting locking regressions.
-  bool per_table_locks = true;
 
   // --- durability -----------------------------------------------------------
 
@@ -149,39 +143,11 @@ class Engine {
 
   // --- statements -----------------------------------------------------------
 
-  /// Parses and executes one database statement under the appropriate
-  /// lock: shared for retrieve/explain, exclusive for anything that can
-  /// write (including retrieves when retrieve-event rules are armed, and
-  /// "retrieve into").  Never throws; never lets a callee's exception
-  /// escape.
-  Result<QueryResult> Execute(const std::string& statement,
-                              const EvalScope* ambient = nullptr);
-
   /// Compiles one database statement through the shared StatementCache
-  /// and returns the immutable handle: the prepared-execution entry
-  /// point.  Preparing the same (whitespace-normalized) text twice
-  /// returns the same handle without re-parsing.  Never throws.
-  Result<CompiledStatementPtr> Prepare(const std::string& statement);
-
-  /// Executes a compiled handle (from Prepare, or Database::Prepare).
-  /// Lock classification comes from the handle's precomputed metadata —
-  /// no text sniffing, no parsing, on the hot path.  Fails with
-  /// InvalidArgument when the handle has $n placeholders (bind them with
-  /// the ParamList overload).  Never throws.
-  ///
-  /// DEPRECATED as a public entry point: prefer Session::Prepare, which
-  /// returns a PreparedStatement handle wrapping this (engine/session.h).
-  Result<QueryResult> ExecuteCompiled(const CompiledStatementPtr& compiled,
-                                      const EvalScope* ambient = nullptr);
-  /// Executes a compiled handle with a bind list: params[0] binds $1.
-  /// The list is validated against the handle's signature (arity +
-  /// inferred types) before any lock is taken.  On the durable path the
-  /// WAL gets one kParamStatement record — statement text plus the
-  /// encoded values — so recovery replays one compiled shape per distinct
-  /// statement no matter how many bindings ran.  Never throws.
-  Result<QueryResult> ExecuteCompiled(const CompiledStatementPtr& compiled,
-                                      const ParamList& params,
-                                      const EvalScope* ambient = nullptr);
+  /// and runs it with no bind list (see Run).  Prepared, bound execution
+  /// goes through Session::Prepare and PreparedStatement::Execute.  Never
+  /// throws; never lets a callee's exception escape.
+  Result<QueryResult> Execute(const std::string& statement);
 
   /// Point-in-time accounting of the shared statement cache.
   StatementCache::Stats StatementCacheStats() const {
@@ -269,14 +235,14 @@ class Engine {
   /// would not exclude per-table writers.
   template <typename F>
   auto WithDbRead(F&& fn) const {
-    LockManager::Guard lock = AcquireWrite();
+    LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
     return fn(static_cast<const Database&>(db_));
   }
 
   /// Runs `fn(Database&)` under the global exclusive lock.
   template <typename F>
   auto WithDbWrite(F&& fn) {
-    LockManager::Guard lock = AcquireWrite();
+    LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
     return fn(db_);
   }
 
@@ -286,7 +252,7 @@ class Engine {
   /// the shared intent layer suffices).
   template <typename F>
   auto WithRulesRead(F&& fn) const {
-    LockManager::Guard lock = AcquireRead();
+    LockManager::Guard lock = lock_mgr_.AcquireGlobalShared();
     return fn(static_cast<const TemporalRuleManager&>(*rules_));
   }
 
@@ -306,27 +272,21 @@ class Engine {
   // Bookkeeping for the active_sessions gauge (called by ~Session).
   void ReleaseSession();
 
-  /// Global shared (intent) lock: excludes global-exclusive holders but
-  /// NOT per-table writers — safe for state mutated only under the
-  /// exclusive path (cron counters, rule metadata), never for table data.
-  LockManager::Guard AcquireRead() const;
-  /// Global exclusive lock — the fallback path every footprint statement
-  /// and every other global holder yields to.
-  LockManager::Guard AcquireWrite() const;
-  /// Footprint acquisition: the statement's tables, shared or exclusive,
-  /// under the shared intent layer.
-  LockManager::Guard AcquireStatementTables(
-      const std::vector<std::string>& tables, bool exclusive) const;
+  /// Compiles `statement` through the shared StatementCache: preparing
+  /// the same (whitespace-normalized) text twice returns the same handle
+  /// without re-parsing.  Never throws.
+  Result<CompiledStatementPtr> Prepare(const std::string& statement);
 
-  Result<QueryResult> ExecuteImpl(const std::string& statement,
-                                  const EvalScope* ambient);
-  /// The shared execution body: classifies the lock from the compiled
-  /// metadata, runs under it, WAL-logs writes, and invalidates the
-  /// statement cache after DDL.  `params` (nullable) is the bind list for
-  /// the handle's $n placeholders.
-  Result<QueryResult> ExecuteCompiledImpl(const CompiledStatement& compiled,
-                                          const ParamList* params,
-                                          const EvalScope* ambient);
+  /// The one statement path (Execute, Session::Prepare'd handles): binds
+  /// `params` (nullable) to the handle's $n placeholders before any lock
+  /// or WAL traffic, classifies the lock from the compiled metadata, runs
+  /// Database::Run under it, WAL-logs writes (a bound execution as one
+  /// kParamStatement record), and invalidates the statement cache after
+  /// DDL.  Never throws.
+  Result<QueryResult> Run(const CompiledStatement& compiled,
+                          const ParamList* params);
+  Result<QueryResult> RunImpl(const CompiledStatement& compiled,
+                              const ParamList* params);
   void CronLoop();
 
   // --- durability internals -------------------------------------------------
@@ -350,15 +310,17 @@ class Engine {
   CalendarCatalog catalog_;
   Database db_;
   // The shared compiled-statement cache.  Internally locked; its mutex is
-  // a leaf (never held while acquiring db_mu_ or any catalog mutex).
+  // a leaf (never held while acquiring a lock_mgr_ lock or any catalog
+  // mutex).
   StatementCache stmt_cache_;
   VirtualClock clock_;
   std::unique_ptr<TemporalRuleManager> rules_;
   std::unique_ptr<DbCron> cron_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<obs::MetricsSnapshotter> snapshotter_;
-  // Durability (null for an in-memory engine).  Appends happen under
-  // db_mu_ exclusive; the writer's own mutex covers Sync from Stop().
+  // Durability (null for an in-memory engine).  Appends happen under the
+  // statement's lock_mgr_ lock; the writer's own mutex keeps each record
+  // atomic and covers Sync from Stop().
   std::unique_ptr<storage::WalWriter> wal_;
   RecoveryStats recovery_stats_;
   std::atomic<bool> checkpoint_due_{false};
@@ -393,6 +355,7 @@ class Engine {
   std::atomic<uint64_t> next_session_id_{1};
 
   friend class Session;
+  friend class PreparedStatement;
 };
 
 }  // namespace caldb

@@ -165,10 +165,10 @@ Result<QueryResult> PreparedStatement::Execute(const ParamList& params) const {
   try {
     obs::ScopedLogContext log_scope{
         obs::LogContext{session_id_, compiled_->text}};
-    // The empty bind list goes through the same path: CheckParamList
+    // The empty bind list goes through the same path: the bind step
     // enforces exact arity, so a 0-param handle accepts {} and a
     // parameterized one reports the missing values up front.
-    return engine_->ExecuteCompiled(compiled_, params);
+    return engine_->Run(*compiled_, &params);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("uncaught exception in Execute: ") +
                             e.what());
@@ -191,31 +191,16 @@ const std::string& PreparedStatement::text() const {
 }
 
 Result<PreparedStatement> Session::Prepare(const std::string& text) {
-  // Engine::Prepare already carries the no-throw catch-all.
+  // Engine::Prepare carries the no-throw catch-all.
   CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
                          engine_->Prepare(text));
   return PreparedStatement(engine_, engine_->alive_, id_, std::move(compiled));
 }
 
-Result<QueryResult> Session::Execute(const CompiledStatementPtr& prepared) {
-  if (prepared == nullptr) {
-    return Status::InvalidArgument("null prepared statement");
-  }
-  try {
-    obs::ScopedLogContext log_scope{obs::LogContext{id_, prepared->text}};
-    return engine_->ExecuteCompiled(prepared);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Execute: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Execute");
-  }
-}
-
 Result<QueryResult> Session::Execute(const std::string& text) {
   try {
     // Stamp this session (and the command text) into the thread's log
-    // context for the duration; Engine::ExecuteImpl narrows the statement
+    // context for the duration; Engine::Run narrows the statement
     // but keeps the session id.
     obs::ScopedLogContext log_scope{obs::LogContext{id_, text}};
     return ExecuteImpl(text);

@@ -135,19 +135,6 @@ class Session {
   /// parse here.
   Result<PreparedStatement> Prepare(const std::string& text);
 
-  /// DEPRECATED: executes a raw compiled handle.  This predates
-  /// PreparedStatement and cannot bind parameters — a handle with
-  /// placeholders fails with InvalidArgument.  Migrate:
-  ///
-  ///   before:  auto h = session->Prepare(text);       // raw ptr, old API
-  ///            session->Execute(*h);
-  ///   after:   auto stmt = session->Prepare(text);
-  ///            stmt->Execute();            // or stmt->Execute({v1, v2})
-  ///
-  /// Kept so code holding CompiledStatementPtr (e.g. from
-  /// Engine::Prepare) still runs; new code should not call this.
-  Result<QueryResult> Execute(const CompiledStatementPtr& prepared);
-
   // --- typed calendar surface -----------------------------------------------
 
   /// Compiles and runs a calendar script on this session's evaluator.

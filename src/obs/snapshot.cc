@@ -70,13 +70,13 @@ std::string RenderDashboard(MetricRegistry& registry,
          " (total " +
          std::to_string(registry.counter("caldb.db.slow_statements")->value()) +
          ")\n";
-  out += "  lock wait    p99 read " +
-         FormatUs(registry.histogram("caldb.engine.lock_wait_ns.read")
+  out += "  lock wait    p99 " +
+         FormatUs(registry.histogram("caldb.engine.table_locks.wait_ns")
                       ->Percentile(99)) +
-         " / write " +
-         FormatUs(registry.histogram("caldb.engine.lock_wait_ns.write")
-                      ->Percentile(99)) +
-         " (cumulative)\n";
+         " (cumulative), global fallbacks +" +
+         std::to_string(
+             DeltaOf(deltas, "caldb.engine.table_locks.fallbacks")) +
+         "\n";
   out += "  pool         depth " +
          std::to_string(
              registry.gauge("caldb.engine.pool.queue_depth")->value()) +

@@ -7,7 +7,7 @@
 //   {"ts_us":...,"interval_ms":1000,
 //    "counters_delta":{"caldb.engine.statements":1234,...},   // since the
 //    "gauges":{"caldb.engine.pool.queue_depth":0,...},        //   previous line
-//    "histograms":{"caldb.engine.lock_wait_ns.write":
+//    "histograms":{"caldb.engine.table_locks.wait_ns":
 //                  {"count":12,"p50":63,"p99":4095,"max":3801}}}
 //
 // Counter values are reported as deltas (zero deltas omitted), so each

@@ -278,10 +278,10 @@ Result<std::optional<TimePoint>> TemporalRuleManager::FireRule(
   // every firing — and the same bind list replays from the WAL.
   const ParamList fire_params = {Value::Int(fire_day)};
   auto run = [&](const CompiledStatement& stmt) -> Result<QueryResult> {
-    if (stmt.param_count == 1) {
-      return db_->ExecuteCompiled(stmt, fire_params);
-    }
-    return db_->ExecuteCompiled(stmt);
+    CALDB_ASSIGN_OR_RETURN(
+        EvalScope bound,
+        BindParams(stmt, stmt.param_count == 1 ? &fire_params : nullptr));
+    return db_->Run(stmt, bound);
   };
   bool condition_holds = true;
   if (rule.compiled_condition != nullptr) {

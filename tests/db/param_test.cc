@@ -1,6 +1,6 @@
 // The $n placeholder contract: lexing and signature inference at compile
-// time, arity/type checking at bind time, execution through
-// Database::ExecuteCompiled with a ParamList, and the places placeholders
+// time, arity/type checking at bind time (BindParams), execution through
+// Database::Run with the bound scope, and the places placeholders
 // are deliberately rejected (gaps, $0, rule where-clauses, event-rule
 // actions).
 
@@ -8,10 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include "common/macros.h"
 #include "db/database.h"
 
 namespace caldb {
 namespace {
+
+// The two steps the Engine runs around its lock: bind, then run.
+Result<QueryResult> BindAndRun(Database& db, const CompiledStatement& c,
+                               const ParamList* params) {
+  CALDB_ASSIGN_OR_RETURN(EvalScope bound, BindParams(c, params));
+  return db.Run(c, bound);
+}
 
 void Seed(Database* db) {
   ASSERT_TRUE(db->Execute("create table t (x int, s text)").ok());
@@ -93,12 +101,12 @@ TEST(ParamBind, ExecutesWithBoundValues) {
   ASSERT_TRUE(c.ok()) << c.status().ToString();
   for (int i = 1; i <= 3; ++i) {
     ParamList params = {Value::Int(i)};
-    auto rows = db.ExecuteCompiled(**c, params);
+    auto rows = BindAndRun(db, **c, &params);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     ASSERT_EQ(rows->rows.size(), 1u);
   }
   ParamList params = {Value::Int(99)};
-  auto none = db.ExecuteCompiled(**c, params);
+  auto none = BindAndRun(db, **c, &params);
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->rows.empty());
 }
@@ -111,7 +119,7 @@ TEST(ParamBind, RepeatedPlaceholderBindsOneValue) {
   ASSERT_TRUE(c.ok()) << c.status().ToString();
   EXPECT_EQ((*c)->param_count, 1);
   ParamList params = {Value::Int(1)};
-  auto rows = db.ExecuteCompiled(**c, params);
+  auto rows = BindAndRun(db, **c, &params);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->rows.size(), 2u);  // x = 1 and x = 2
 }
@@ -122,9 +130,9 @@ TEST(ParamBind, ArityMismatchIsInvalidArgument) {
   auto c = CompileStatement("retrieve (t.s) from t in t where t.x = $1");
   ASSERT_TRUE(c.ok());
   ParamList none;
-  EXPECT_FALSE(db.ExecuteCompiled(**c, none).ok());
+  EXPECT_FALSE(BindAndRun(db, **c, &none).ok());
   ParamList two = {Value::Int(1), Value::Int(2)};
-  auto r = db.ExecuteCompiled(**c, two);
+  auto r = BindAndRun(db, **c, &two);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().ToString().find("$1"), std::string::npos);
 }
@@ -136,15 +144,15 @@ TEST(ParamBind, TypeMismatchIsInvalidArgument) {
   ASSERT_TRUE(c.ok());
   ASSERT_EQ((*c)->param_types[0], ValueType::kInt);
   ParamList text = {Value::Text("one")};
-  auto r = db.ExecuteCompiled(**c, text);
+  auto r = BindAndRun(db, **c, &text);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().ToString().find("expects"), std::string::npos)
       << r.status().ToString();
   // Both numeric classes bind a numeric slot; null binds anything.
   ParamList f = {Value::Float(1.0)};
-  EXPECT_TRUE(db.ExecuteCompiled(**c, f).ok());
+  EXPECT_TRUE(BindAndRun(db, **c, &f).ok());
   ParamList null = {Value::Null()};
-  EXPECT_TRUE(db.ExecuteCompiled(**c, null).ok());
+  EXPECT_TRUE(BindAndRun(db, **c, &null).ok());
 }
 
 TEST(ParamBind, BoundPlaceholderDrivesIndexScan) {
@@ -157,7 +165,7 @@ TEST(ParamBind, BoundPlaceholderDrivesIndexScan) {
   ASSERT_TRUE(c.ok()) << c.status().ToString();
   db.ResetStats();
   ParamList params = {Value::Int(2)};
-  auto rows = db.ExecuteCompiled(**c, params);
+  auto rows = BindAndRun(db, **c, &params);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->rows.size(), 1u);
   Database::Stats stats = db.stats();
@@ -171,7 +179,7 @@ TEST(ParamBind, UnboundExecutionFailsUpFront) {
   Seed(&db);
   auto c = CompileStatement("retrieve (t.s) from t in t where t.x = $1");
   ASSERT_TRUE(c.ok());
-  auto r = db.ExecuteCompiled(**c);  // no bind list at all
+  auto r = BindAndRun(db, **c, nullptr);  // no bind list at all
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().ToString().find("bind"), std::string::npos)
       << r.status().ToString();
@@ -183,12 +191,12 @@ TEST(ParamBind, AppendAndDeleteThroughPlaceholders) {
   auto ins = CompileStatement("append t (x = $1, s = $2)");
   ASSERT_TRUE(ins.ok()) << ins.status().ToString();
   ParamList four = {Value::Int(4), Value::Text("four")};
-  ASSERT_TRUE(db.ExecuteCompiled(**ins, four).ok());
+  ASSERT_TRUE(BindAndRun(db, **ins, &four).ok());
 
   auto del = CompileStatement("delete v in t where v.x = $1");
   ASSERT_TRUE(del.ok()) << del.status().ToString();
   ParamList one = {Value::Int(1)};
-  ASSERT_TRUE(db.ExecuteCompiled(**del, one).ok());
+  ASSERT_TRUE(BindAndRun(db, **del, &one).ok());
 
   auto rows = db.Execute("retrieve (t.x) from t in t");
   ASSERT_TRUE(rows.ok());

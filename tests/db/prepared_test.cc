@@ -1,6 +1,6 @@
 // The parse-once pipeline at the db layer: CompileStatement metadata
 // (write classification, referenced tables, normalization), the
-// Database::Prepare / ExecuteCompiled entry points, the EXPLAIN/PROFILE
+// Database::Prepare / Run entry points, the EXPLAIN/PROFILE
 // single-parse contract, and DefineRule's fail-fast on unparseable
 // actions.
 
@@ -125,7 +125,7 @@ TEST(PreparedExecution, HandleExecutesRepeatedlyWithoutReparsing) {
 
   const int64_t parses_before = ParseCount();
   for (int i = 0; i < 10; ++i) {
-    auto r = db.ExecuteCompiled(**prepared);
+    auto r = db.Run(**prepared, EvalScope{});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   EXPECT_EQ(ParseCount(), parses_before);  // zero parses on the hot path
@@ -193,7 +193,7 @@ TEST(EventRules, FiringsExecuteThePrecompiledAction) {
   ASSERT_TRUE(trigger.ok());
   const int64_t before = ParseCount();
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(db.ExecuteCompiled(**trigger).ok());
+    ASSERT_TRUE(db.Run(**trigger, EvalScope{}).ok());
   }
   // Neither the trigger statement nor the rule action parsed.
   EXPECT_EQ(ParseCount(), before);

@@ -177,6 +177,44 @@ TEST(EngineRestart, ParameterizedExecutionsReplayWithTheirBoundValues) {
   }
 }
 
+TEST(EngineRestart, RejectedBindsWriteNothingToTheWal) {
+  // The bind step runs before any lock or WAL append: an execution with
+  // the wrong arity or type fails without leaving a redo record, so
+  // recovery replays exactly the executions that ran.
+  std::string dir = FreshDataDir("caldb_restart_rejected_binds");
+  EngineOptions opts = DurableOptions(dir);
+  opts.checkpoint_on_stop = false;  // leave everything in the WAL
+  {
+    auto engine = Engine::Create(opts);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    auto session = (*engine)->CreateSession();
+    ASSERT_TRUE(session->Execute("create table T (x int)").ok());
+    auto insert = session->Prepare("append T (x = $1 + 0)");
+    ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+    ASSERT_EQ(insert->signature(), "($1:int)");
+    ASSERT_TRUE(insert->Execute({Value::Int(1)}).ok());
+    for (const ParamList& bad :
+         {ParamList{}, ParamList{Value::Int(2), Value::Int(3)},
+          ParamList{Value::Text("two")}}) {
+      Result<QueryResult> r = insert->Execute(bad);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << r.status().ToString();
+    }
+    ASSERT_TRUE(insert->Execute({Value::Int(4)}).ok());
+    ASSERT_TRUE((*engine)->Stop().ok());
+  }
+  {
+    auto engine = Engine::Create(opts);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const Engine::RecoveryStats& stats = (*engine)->recovery_stats();
+    EXPECT_FALSE(stats.snapshot_loaded);
+    EXPECT_EQ(stats.wal_records_replayed, 3);  // create + two appends
+    EXPECT_EQ(stats.replay_errors, 0);
+    EXPECT_EQ(CountRows(**engine, "retrieve (t.x) from t in T"), 2);
+  }
+}
+
 TEST(EngineRestart, MissedFiringsHappenExactlyOnceAndAuditShowsTheLag) {
   std::string dir = FreshDataDir("caldb_restart_missed");
   {

@@ -2,7 +2,8 @@
 // across the pool boundary (ExecuteAsync) and on the DBCRON daemon thread
 // (AdvanceTo), audit records for temporal and event rules with
 // scheduled-vs-actual days and triggering statement/session, the
-// slow-statement log, and the audit ring's bound under sustained firing.
+// slow-statement log, per-statement db metrics on the engine path, and
+// the audit ring's bound under sustained firing.
 //
 // These tests read the process-global tracer / audit trail / logger, so
 // each clears them first; gtest runs tests in one binary sequentially.
@@ -10,6 +11,7 @@
 #include "caldb.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -198,6 +200,47 @@ TEST(EngineTelemetryTest, ZeroThresholdDisablesSlowStatementLog) {
   for (const obs::LogRecord& r : obs::Log().Snapshot()) {
     EXPECT_NE(r.event, "db.slow_statement");
   }
+}
+
+TEST(EngineTelemetryTest, EngineStatementsRecordDbStatementMetrics) {
+  // Text and prepared statements both reach Database::Run, which counts
+  // each one in caldb.db.statements and times it in caldb.db.statement_ns;
+  // recovery replays through the same body in replay mode, which
+  // records neither.
+  obs::Counter* statements = obs::Metrics().counter("caldb.db.statements");
+  obs::Histogram* statement_ns =
+      obs::Metrics().histogram("caldb.db.statement_ns");
+  const std::string dir = ::testing::TempDir() + "caldb_telemetry_replay";
+  std::filesystem::remove_all(dir);
+  EngineOptions opts;
+  opts.data_dir = dir;
+  opts.fsync_policy = storage::FsyncPolicy::kOff;
+  opts.checkpoint_on_stop = false;  // leave everything in the WAL
+  constexpr int kN = 5;
+  {
+    auto engine = Engine::Create(opts).value();
+    auto session = engine->CreateSession();
+    ASSERT_TRUE(session->Execute("create table t (x int)").ok());
+    auto insert = session->Prepare("append t (x = $1)");
+    ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+    const int64_t statements_before = statements->value();
+    const int64_t timed_before = statement_ns->count();
+    for (int i = 0; i < kN; ++i) {
+      ASSERT_TRUE(session->Execute("append t (x = " + std::to_string(i) + ")")
+                      .ok());
+      ASSERT_TRUE(insert->Execute({Value::Int(i)}).ok());
+    }
+    EXPECT_EQ(statements->value() - statements_before, 2 * kN);
+    EXPECT_EQ(statement_ns->count() - timed_before, 2 * kN);
+    ASSERT_TRUE(engine->Stop().ok());
+  }
+  const int64_t statements_before = statements->value();
+  const int64_t timed_before = statement_ns->count();
+  auto engine = Engine::Create(opts).value();
+  EXPECT_EQ(engine->recovery_stats().wal_records_replayed, 1 + 2 * kN);
+  EXPECT_EQ(engine->recovery_stats().replay_errors, 0);
+  EXPECT_EQ(statements->value(), statements_before);
+  EXPECT_EQ(statement_ns->count(), timed_before);
 }
 
 TEST(EngineTelemetryTest, AuditRingStaysBoundedUnderSustainedFiring) {

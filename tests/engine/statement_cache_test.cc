@@ -131,18 +131,16 @@ TEST(EngineStatementCache, PreparedHandleCrossesSessions) {
   const int64_t parses_before = ParseCount();
   ASSERT_TRUE(prepared->Execute().ok());
   ASSERT_TRUE(prepared->Execute().ok());
-  // The deprecated raw-handle path still runs, from any session.
-  ASSERT_TRUE(s2->Execute(prepared->compiled()).ok());
-  EXPECT_EQ(ParseCount(), parses_before);  // handle execution never parses
 
   // Preparing the same text from the other session returns the shared
-  // cache entry, not a second compilation.
+  // cache entry, not a second compilation, and it runs from there too.
   auto again = s2->Prepare("append t (x = 2)");
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(prepared->compiled().get(), again->compiled().get());
+  ASSERT_TRUE(again->Execute().ok());
+  EXPECT_EQ(ParseCount(), parses_before);  // handle execution never parses
 
   // Invalid handles and unpreparable (session-verb) inputs fail as Status.
-  EXPECT_FALSE(s1->Execute(CompiledStatementPtr{}).ok());
   EXPECT_FALSE(PreparedStatement{}.Execute().ok());
   EXPECT_FALSE(s1->Prepare("advance to 10").ok());
 }

@@ -141,6 +141,8 @@ TEST(RenderDashboard, ShowsVitalsFromDeltas) {
   registry.counter("caldb.engine.statements")->Add(100);
   registry.counter("caldb.cron.fires")->Add(3);
   registry.gauge("caldb.engine.pool.queue_depth")->Set(2);
+  registry.histogram("caldb.engine.table_locks.wait_ns")->Record(3000);
+  registry.counter("caldb.engine.table_locks.fallbacks")->Add(7);
   CounterDeltas deltas(&registry);
   const std::string frame = RenderDashboard(registry, deltas.Step(), 1.0);
   EXPECT_NE(frame.find("statements"), std::string::npos) << frame;
@@ -148,6 +150,13 @@ TEST(RenderDashboard, ShowsVitalsFromDeltas) {
   EXPECT_NE(frame.find("cron"), std::string::npos) << frame;
   EXPECT_NE(frame.find("+3 fires"), std::string::npos) << frame;
   EXPECT_NE(frame.find("pool"), std::string::npos) << frame;
+  // The lock line reads the lock manager's one wait histogram (3000 ns
+  // lands in the [2048, 4096) bucket, reported by its upper bound) and
+  // the global-exclusive fallbacks of the interval.
+  EXPECT_NE(frame.find("lock wait    p99 4.0us (cumulative), global "
+                       "fallbacks +7"),
+            std::string::npos)
+      << frame;
 }
 
 }  // namespace
