@@ -1,6 +1,5 @@
-#include <cctype>
-
 #include "common/macros.h"
+#include "common/scanner.h"
 #include "common/strings.h"
 #include "db/compiled_statement.h"
 #include "db/query.h"
@@ -24,137 +23,10 @@ std::string_view DbEventName(DbEvent event) {
 
 namespace {
 
-enum class QTok {
-  kIdent,
-  kInt,
-  kFloat,
-  kString,
-  kParam,  // positional placeholder $n, index in `int_value`
-  kPunct,  // single/double char operator, text in `text`
-  kEnd,
-};
-
-struct QToken {
-  QTok kind = QTok::kEnd;
-  std::string text;
-  int64_t int_value = 0;
-  double float_value = 0;
-  size_t offset = 0;  // byte offset in the source (for `do` tails)
-};
-
-Result<std::vector<QToken>> QLex(std::string_view src) {
-  std::vector<QToken> tokens;
-  size_t i = 0;
-  while (i < src.size()) {
-    char c = src[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    QToken tok;
-    tok.offset = i;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
-      while (i < src.size() &&
-             (std::isalnum(static_cast<unsigned char>(src[i])) || src[i] == '_')) {
-        ++i;
-      }
-      tok.kind = QTok::kIdent;
-      tok.text = std::string(src.substr(start, i - start));
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = i;
-      while (i < src.size() && std::isdigit(static_cast<unsigned char>(src[i]))) {
-        ++i;
-      }
-      if (i + 1 < src.size() && src[i] == '.' &&
-          std::isdigit(static_cast<unsigned char>(src[i + 1]))) {
-        ++i;
-        while (i < src.size() &&
-               std::isdigit(static_cast<unsigned char>(src[i]))) {
-          ++i;
-        }
-        tok.kind = QTok::kFloat;
-        // ParseDouble, not std::stod: an over-long literal must come back
-        // as a ParseError, not an exception (no-throw contract,
-        // common/result.h).
-        CALDB_ASSIGN_OR_RETURN(tok.float_value,
-                               ParseDouble(src.substr(start, i - start)));
-      } else {
-        tok.kind = QTok::kInt;
-        tok.int_value = 0;
-        for (size_t j = start; j < i; ++j) {
-          tok.int_value = tok.int_value * 10 + (src[j] - '0');
-        }
-      }
-    } else if (c == '$') {
-      // Positional placeholder $n.  Strings are handled below, so a `$`
-      // inside a quoted literal never reaches this branch.
-      size_t start = ++i;
-      while (i < src.size() &&
-             std::isdigit(static_cast<unsigned char>(src[i]))) {
-        ++i;
-      }
-      if (i == start) {
-        return Status::ParseError(
-            "expected a parameter number after '$' (placeholders are $1, "
-            "$2, ...)");
-      }
-      tok.kind = QTok::kParam;
-      tok.int_value = 0;
-      for (size_t j = start; j < i && tok.int_value <= 1'000'000; ++j) {
-        tok.int_value = tok.int_value * 10 + (src[j] - '0');
-      }
-      if (tok.int_value < 1 || tok.int_value > 1'000'000) {
-        return Status::ParseError("parameter $" +
-                                  std::string(src.substr(start, i - start)) +
-                                  " out of range (placeholders start at $1)");
-      }
-      tok.text = "$" + std::to_string(tok.int_value);
-    } else if (c == '\'' || c == '"') {
-      char quote = c;
-      ++i;
-      tok.kind = QTok::kString;
-      while (i < src.size() && src[i] != quote) {
-        tok.text.push_back(src[i]);
-        ++i;
-      }
-      if (i >= src.size()) {
-        return Status::ParseError("unterminated string literal");
-      }
-      ++i;
-    } else {
-      tok.kind = QTok::kPunct;
-      // Two-character operators.
-      if (i + 1 < src.size()) {
-        std::string_view two = src.substr(i, 2);
-        if (two == "!=" || two == "<=" || two == ">=") {
-          tok.text = std::string(two);
-          i += 2;
-          tokens.push_back(std::move(tok));
-          continue;
-        }
-      }
-      static constexpr std::string_view kSingles = "(),.=<>+-*/";
-      if (kSingles.find(c) == std::string_view::npos) {
-        return Status::ParseError(std::string("unexpected character '") + c +
-                                  "' in query");
-      }
-      tok.text = std::string(1, c);
-      ++i;
-    }
-    tokens.push_back(std::move(tok));
-  }
-  QToken end;
-  end.kind = QTok::kEnd;
-  end.offset = src.size();
-  tokens.push_back(end);
-  return tokens;
-}
-
-class QueryParser {
+class QueryParser : private TokenCursor {
  public:
-  QueryParser(std::string_view src, std::vector<QToken> tokens)
-      : src_(src), tokens_(std::move(tokens)) {}
+  QueryParser(std::string_view src, std::vector<Token> tokens)
+      : TokenCursor(std::move(tokens)), src_(src) {}
 
   Result<Statement> ParseStatementTop() {
     if (MatchKeyword("retrieve")) return ParseRetrieve();
@@ -195,35 +67,14 @@ class QueryParser {
   }
 
  private:
-  const QToken& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  const QToken& Advance() {
-    return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_];
-  }
-  bool CheckPunct(std::string_view p) const {
-    return Peek().kind == QTok::kPunct && Peek().text == p;
-  }
-  bool MatchPunct(std::string_view p) {
-    if (!CheckPunct(p)) return false;
-    Advance();
-    return true;
-  }
-  bool CheckKeyword(std::string_view kw, size_t ahead = 0) const {
-    return Peek(ahead).kind == QTok::kIdent &&
-           EqualsIgnoreCase(Peek(ahead).text, kw);
-  }
-  bool MatchKeyword(std::string_view kw) {
-    if (!CheckKeyword(kw)) return false;
-    Advance();
-    return true;
-  }
-
   Status Fail(std::string_view wanted) const {
-    const QToken& t = Peek();
-    std::string found = t.kind == QTok::kEnd ? "end of query" : "'" + t.text + "'";
-    if (t.kind == QTok::kInt) found = std::to_string(t.int_value);
+    // A comment fails here like any other unexpected token: statement
+    // normalization is not comment-aware, so comments stay illegal.
+    const Token& t = Peek();
+    std::string found = "end of query";
+    if (t.kind != TokenKind::kEnd) {
+      found.assign("'").append(src_.substr(t.offset, t.end - t.offset)) += '\'';
+    }
     return Status::ParseError("expected " + std::string(wanted) + " but found " +
                               found);
   }
@@ -232,16 +83,16 @@ class QueryParser {
     if (MatchKeyword(kw)) return Status::OK();
     return Fail("'" + std::string(kw) + "'");
   }
-  Status ExpectPunct(std::string_view p) {
-    if (MatchPunct(p)) return Status::OK();
-    return Fail("'" + std::string(p) + "'");
+  Status Expect(TokenKind kind) {
+    if (Match(kind)) return Status::OK();
+    return Fail(TokenKindName(kind));
   }
   Status ExpectEnd() {
-    if (Peek().kind == QTok::kEnd) return Status::OK();
+    if (Check(TokenKind::kEnd)) return Status::OK();
     return Fail("end of query");
   }
   Result<std::string> ExpectIdent(std::string_view what) {
-    if (Peek().kind != QTok::kIdent) return Fail(what);
+    if (!Check(TokenKind::kIdent)) return Fail(what);
     return Advance().text;
   }
 
@@ -252,7 +103,7 @@ class QueryParser {
     if (MatchKeyword("into")) {
       CALDB_ASSIGN_OR_RETURN(stmt.into, ExpectIdent("result table name"));
     }
-    CALDB_RETURN_IF_ERROR(ExpectPunct("("));
+    CALDB_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
     while (true) {
       RetrieveStmt::Target target;
       CALDB_ASSIGN_OR_RETURN(target.expr, ParseOr());
@@ -264,9 +115,9 @@ class QueryParser {
                            : target.expr->ToString();
       }
       stmt.targets.push_back(std::move(target));
-      if (!MatchPunct(",")) break;
+      if (!Match(TokenKind::kComma)) break;
     }
-    CALDB_RETURN_IF_ERROR(ExpectPunct(")"));
+    CALDB_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
     CALDB_RETURN_IF_ERROR(ExpectKeyword("from"));
     while (true) {
       RetrieveStmt::TableRef ref;
@@ -280,7 +131,7 @@ class QueryParser {
         }
       }
       stmt.tables.push_back(std::move(ref));
-      if (!MatchPunct(",")) break;
+      if (!Match(TokenKind::kComma)) break;
     }
     if (MatchKeyword("where")) {
       CALDB_ASSIGN_OR_RETURN(stmt.where, ParseOr());
@@ -291,12 +142,12 @@ class QueryParser {
         CALDB_ASSIGN_OR_RETURN(std::string first, ExpectIdent("group column"));
         std::string var;
         std::string column = first;
-        if (MatchPunct(".")) {
+        if (Match(TokenKind::kDot)) {
           var = first;
           CALDB_ASSIGN_OR_RETURN(column, ExpectIdent("group column"));
         }
         stmt.group_by.emplace_back(var, column);
-        if (!MatchPunct(",")) break;
+        if (!Match(TokenKind::kComma)) break;
       }
     }
     if (MatchKeyword("order")) {
@@ -310,7 +161,7 @@ class QueryParser {
           MatchKeyword("asc");
         }
         stmt.order_by.emplace_back(column, asc);
-        if (!MatchPunct(",")) break;
+        if (!Match(TokenKind::kComma)) break;
       }
     }
     CALDB_RETURN_IF_ERROR(ExpectEnd());
@@ -319,15 +170,15 @@ class QueryParser {
 
   Result<std::vector<std::pair<std::string, DbExprPtr>>> ParseSetList() {
     std::vector<std::pair<std::string, DbExprPtr>> sets;
-    CALDB_RETURN_IF_ERROR(ExpectPunct("("));
+    CALDB_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
     while (true) {
       CALDB_ASSIGN_OR_RETURN(std::string column, ExpectIdent("column name"));
-      CALDB_RETURN_IF_ERROR(ExpectPunct("="));
+      CALDB_RETURN_IF_ERROR(Expect(TokenKind::kAssign));
       CALDB_ASSIGN_OR_RETURN(DbExprPtr value, ParseOr());
       sets.emplace_back(std::move(column), std::move(value));
-      if (!MatchPunct(",")) break;
+      if (!Match(TokenKind::kComma)) break;
     }
-    CALDB_RETURN_IF_ERROR(ExpectPunct(")"));
+    CALDB_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
     return sets;
   }
 
@@ -367,16 +218,16 @@ class QueryParser {
   Result<Statement> ParseCreateTable() {
     CreateTableStmt stmt;
     CALDB_ASSIGN_OR_RETURN(stmt.table, ExpectIdent("table name"));
-    CALDB_RETURN_IF_ERROR(ExpectPunct("("));
+    CALDB_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
     while (true) {
       Column column;
       CALDB_ASSIGN_OR_RETURN(column.name, ExpectIdent("column name"));
       CALDB_ASSIGN_OR_RETURN(std::string type_name, ExpectIdent("column type"));
       CALDB_ASSIGN_OR_RETURN(column.type, ParseValueType(type_name));
       stmt.columns.push_back(std::move(column));
-      if (!MatchPunct(",")) break;
+      if (!Match(TokenKind::kComma)) break;
     }
-    CALDB_RETURN_IF_ERROR(ExpectPunct(")"));
+    CALDB_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
     CALDB_RETURN_IF_ERROR(ExpectEnd());
     return Statement{std::move(stmt)};
   }
@@ -385,9 +236,9 @@ class QueryParser {
     CreateIndexStmt stmt;
     CALDB_RETURN_IF_ERROR(ExpectKeyword("on"));
     CALDB_ASSIGN_OR_RETURN(stmt.table, ExpectIdent("table name"));
-    CALDB_RETURN_IF_ERROR(ExpectPunct("("));
+    CALDB_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
     CALDB_ASSIGN_OR_RETURN(stmt.column, ExpectIdent("column name"));
-    CALDB_RETURN_IF_ERROR(ExpectPunct(")"));
+    CALDB_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
     CALDB_RETURN_IF_ERROR(ExpectEnd());
     return Statement{std::move(stmt)};
   }
@@ -415,7 +266,7 @@ class QueryParser {
       CALDB_ASSIGN_OR_RETURN(stmt.where, ParseOr());
     }
     if (!CheckKeyword("do")) return Fail("'do'");
-    const QToken& do_tok = Peek();
+    const Token& do_tok = Peek();
     // The action is the raw remainder of the query after 'do'.
     size_t tail_start = do_tok.offset + 2;
     stmt.action_command =
@@ -471,17 +322,17 @@ class QueryParser {
   Result<DbExprPtr> ParseComparison() {
     CALDB_ASSIGN_OR_RETURN(DbExprPtr lhs, ParseAdd());
     CmpOp op;
-    if (MatchPunct("=")) {
+    if (Match(TokenKind::kAssign)) {
       op = CmpOp::kEq;
-    } else if (MatchPunct("!=")) {
+    } else if (Match(TokenKind::kNotEq)) {
       op = CmpOp::kNe;
-    } else if (MatchPunct("<=")) {
+    } else if (Match(TokenKind::kLessEq)) {
       op = CmpOp::kLe;
-    } else if (MatchPunct("<")) {
+    } else if (Match(TokenKind::kLess)) {
       op = CmpOp::kLt;
-    } else if (MatchPunct(">=")) {
+    } else if (Match(TokenKind::kGreaterEq)) {
       op = CmpOp::kGe;
-    } else if (MatchPunct(">")) {
+    } else if (Match(TokenKind::kGreater)) {
       op = CmpOp::kGt;
     } else {
       return lhs;
@@ -497,8 +348,8 @@ class QueryParser {
 
   Result<DbExprPtr> ParseAdd() {
     CALDB_ASSIGN_OR_RETURN(DbExprPtr lhs, ParseMul());
-    while (CheckPunct("+") || CheckPunct("-")) {
-      char op = Advance().text[0];
+    while (Check(TokenKind::kPlus) || Check(TokenKind::kMinus)) {
+      char op = Advance().kind == TokenKind::kPlus ? '+' : '-';
       CALDB_ASSIGN_OR_RETURN(DbExprPtr rhs, ParseMul());
       auto node = std::make_shared<DbExpr>();
       node->kind = DbExpr::Kind::kArith;
@@ -512,8 +363,8 @@ class QueryParser {
 
   Result<DbExprPtr> ParseMul() {
     CALDB_ASSIGN_OR_RETURN(DbExprPtr lhs, ParsePrimary());
-    while (CheckPunct("*") || CheckPunct("/")) {
-      char op = Advance().text[0];
+    while (Check(TokenKind::kStar) || Check(TokenKind::kSlash)) {
+      char op = Advance().kind == TokenKind::kStar ? '*' : '/';
       CALDB_ASSIGN_OR_RETURN(DbExprPtr rhs, ParsePrimary());
       auto node = std::make_shared<DbExpr>();
       node->kind = DbExpr::Kind::kArith;
@@ -526,26 +377,26 @@ class QueryParser {
   }
 
   Result<DbExprPtr> ParsePrimary() {
-    const QToken& t = Peek();
+    const Token& t = Peek();
     auto node = std::make_shared<DbExpr>();
     switch (t.kind) {
-      case QTok::kInt:
+      case TokenKind::kInt:
         node->kind = DbExpr::Kind::kConst;
         node->constant = Value::Int(Advance().int_value);
         return node;
-      case QTok::kFloat:
+      case TokenKind::kFloat:
         node->kind = DbExpr::Kind::kConst;
         node->constant = Value::Float(Advance().float_value);
         return node;
-      case QTok::kString:
+      case TokenKind::kString:
         node->kind = DbExpr::Kind::kConst;
         node->constant = Value::Text(Advance().text);
         return node;
-      case QTok::kParam:
+      case TokenKind::kParam:
         node->kind = DbExpr::Kind::kParam;
         node->param_index = static_cast<int>(Advance().int_value);
         return node;
-      case QTok::kIdent: {
+      case TokenKind::kIdent: {
         if (MatchKeyword("true")) {
           node->kind = DbExpr::Kind::kConst;
           node->constant = Value::Bool(true);
@@ -562,21 +413,21 @@ class QueryParser {
           return node;
         }
         std::string name = Advance().text;
-        if (MatchPunct("(")) {
+        if (Match(TokenKind::kLParen)) {
           node->kind = DbExpr::Kind::kCall;
           node->fn_name = std::move(name);
-          if (!CheckPunct(")")) {
+          if (!Check(TokenKind::kRParen)) {
             while (true) {
               CALDB_ASSIGN_OR_RETURN(DbExprPtr arg, ParseOr());
               node->args.push_back(std::move(arg));
-              if (!MatchPunct(",")) break;
+              if (!Match(TokenKind::kComma)) break;
             }
           }
-          CALDB_RETURN_IF_ERROR(ExpectPunct(")"));
+          CALDB_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
           return node;
         }
         node->kind = DbExpr::Kind::kColumnRef;
-        if (MatchPunct(".")) {
+        if (Match(TokenKind::kDot)) {
           node->var = std::move(name);
           CALDB_ASSIGN_OR_RETURN(node->column, ExpectIdent("column name"));
         } else {
@@ -584,44 +435,42 @@ class QueryParser {
         }
         return node;
       }
-      case QTok::kPunct:
-        if (MatchPunct("(")) {
-          CALDB_ASSIGN_OR_RETURN(DbExprPtr inner, ParseOr());
-          CALDB_RETURN_IF_ERROR(ExpectPunct(")"));
+      case TokenKind::kLParen: {
+        Advance();
+        CALDB_ASSIGN_OR_RETURN(DbExprPtr inner, ParseOr());
+        CALDB_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+        return inner;
+      }
+      case TokenKind::kMinus: {
+        Advance();
+        // Unary minus: fold into constants, or rewrite as 0 - expr.
+        CALDB_ASSIGN_OR_RETURN(DbExprPtr inner, ParsePrimary());
+        if (inner->kind == DbExpr::Kind::kConst &&
+            inner->constant.type() == ValueType::kInt) {
+          inner->constant = Value::Int(-inner->constant.AsInt().value());
           return inner;
         }
-        if (MatchPunct("-")) {
-          // Unary minus: fold into constants, or rewrite as 0 - expr.
-          CALDB_ASSIGN_OR_RETURN(DbExprPtr inner, ParsePrimary());
-          if (inner->kind == DbExpr::Kind::kConst &&
-              inner->constant.type() == ValueType::kInt) {
-            inner->constant = Value::Int(-inner->constant.AsInt().value());
-            return inner;
-          }
-          if (inner->kind == DbExpr::Kind::kConst &&
-              inner->constant.type() == ValueType::kFloat) {
-            inner->constant = Value::Float(-inner->constant.AsFloat().value());
-            return inner;
-          }
-          auto zero = std::make_shared<DbExpr>();
-          zero->kind = DbExpr::Kind::kConst;
-          zero->constant = Value::Int(0);
-          node->kind = DbExpr::Kind::kArith;
-          node->arith = '-';
-          node->lhs = std::move(zero);
-          node->rhs = std::move(inner);
-          return node;
+        if (inner->kind == DbExpr::Kind::kConst &&
+            inner->constant.type() == ValueType::kFloat) {
+          inner->constant = Value::Float(-inner->constant.AsFloat().value());
+          return inner;
         }
-        break;
-      case QTok::kEnd:
+        auto zero = std::make_shared<DbExpr>();
+        zero->kind = DbExpr::Kind::kConst;
+        zero->constant = Value::Int(0);
+        node->kind = DbExpr::Kind::kArith;
+        node->arith = '-';
+        node->lhs = std::move(zero);
+        node->rhs = std::move(inner);
+        return node;
+      }
+      default:
         break;
     }
     return Fail("an expression");
   }
 
   std::string_view src_;
-  std::vector<QToken> tokens_;
-  size_t pos_ = 0;
 };
 
 }  // namespace
@@ -631,11 +480,11 @@ Result<Statement> ParseStatement(std::string_view query) {
   // delta stays flat while cached statements re-execute.
   static obs::Counter* parses = obs::Metrics().counter("caldb.db.parses");
   parses->Increment();
-  CALDB_ASSIGN_OR_RETURN(std::vector<QToken> tokens, QLex(query));
+  CALDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Scan(query));
   // `explain <stmt>` / `profile <stmt>`: strip the verb and compile the
   // tail exactly once — plan rendering and the PROFILE run share the
   // handle (see ExplainStmt).
-  if (tokens.size() >= 2 && tokens[0].kind == QTok::kIdent &&
+  if (tokens.size() >= 2 && tokens[0].kind == TokenKind::kIdent &&
       (EqualsIgnoreCase(tokens[0].text, "explain") ||
        EqualsIgnoreCase(tokens[0].text, "profile"))) {
     ExplainStmt stmt;
@@ -648,7 +497,7 @@ Result<Statement> ParseStatement(std::string_view query) {
 }
 
 Result<DbExprPtr> ParseDbExpression(std::string_view text) {
-  CALDB_ASSIGN_OR_RETURN(std::vector<QToken> tokens, QLex(text));
+  CALDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Scan(text));
   return QueryParser(text, std::move(tokens)).ParseExpressionTop();
 }
 

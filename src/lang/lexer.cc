@@ -1,243 +1,57 @@
 #include "lang/lexer.h"
 
-#include <cctype>
-
 #include "common/macros.h"
 #include "obs/obs.h"
 
 namespace caldb {
 
-std::string_view TokenKindName(TokenKind kind) {
-  switch (kind) {
-    case TokenKind::kIdent:
-      return "identifier";
-    case TokenKind::kInt:
-      return "integer";
-    case TokenKind::kString:
-      return "string";
-    case TokenKind::kLBrace:
-      return "'{'";
-    case TokenKind::kRBrace:
-      return "'}'";
-    case TokenKind::kLParen:
-      return "'('";
-    case TokenKind::kRParen:
-      return "')'";
-    case TokenKind::kLBracket:
-      return "'['";
-    case TokenKind::kRBracket:
-      return "']'";
-    case TokenKind::kComma:
-      return "','";
-    case TokenKind::kSemicolon:
-      return "';'";
-    case TokenKind::kAssign:
-      return "'='";
-    case TokenKind::kPlus:
-      return "'+'";
-    case TokenKind::kMinus:
-      return "'-'";
-    case TokenKind::kSlash:
-      return "'/'";
-    case TokenKind::kColon:
-      return "':'";
-    case TokenKind::kDot:
-      return "'.'";
-    case TokenKind::kDotDot:
-      return "'..'";
-    case TokenKind::kLess:
-      return "'<'";
-    case TokenKind::kLessEq:
-      return "'<='";
-    case TokenKind::kStar:
-      return "'*'";
-    case TokenKind::kIf:
-      return "'if'";
-    case TokenKind::kElse:
-      return "'else'";
-    case TokenKind::kWhile:
-      return "'while'";
-    case TokenKind::kReturn:
-      return "'return'";
-    case TokenKind::kEnd:
-      return "end of input";
-  }
-  return "?";
-}
-
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+TokenKind KeywordKind(std::string_view text) {
+  if (text == "if") return TokenKind::kIf;
+  if (text == "else") return TokenKind::kElse;
+  if (text == "while") return TokenKind::kWhile;
+  if (text == "return") return TokenKind::kReturn;
+  return TokenKind::kIdent;
 }
-
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-class LexerImpl {
- public:
-  explicit LexerImpl(std::string_view src) : src_(src) {}
-
-  Result<std::vector<Token>> Run() {
-    std::vector<Token> tokens;
-    while (true) {
-      CALDB_RETURN_IF_ERROR(SkipWhitespaceAndComments());
-      Token tok;
-      tok.line = line_;
-      tok.column = column_;
-      if (AtEnd()) {
-        tok.kind = TokenKind::kEnd;
-        tokens.push_back(tok);
-        return tokens;
-      }
-      const char c = Peek();
-      if (IsIdentStart(c)) {
-        tok.kind = TokenKind::kIdent;
-        tok.text = LexIdentifier();
-        if (tok.text == "if") tok.kind = TokenKind::kIf;
-        else if (tok.text == "else") tok.kind = TokenKind::kElse;
-        else if (tok.text == "while") tok.kind = TokenKind::kWhile;
-        else if (tok.text == "return") tok.kind = TokenKind::kReturn;
-      } else if (std::isdigit(static_cast<unsigned char>(c))) {
-        tok.kind = TokenKind::kInt;
-        int64_t v = 0;
-        while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-          v = v * 10 + (Peek() - '0');
-          Advance();
-        }
-        tok.int_value = v;
-      } else if (c == '"') {
-        Advance();
-        tok.kind = TokenKind::kString;
-        while (!AtEnd() && Peek() != '"') {
-          tok.text.push_back(Peek());
-          Advance();
-        }
-        if (AtEnd()) {
-          return Status::ParseError("unterminated string literal at line " +
-                                    std::to_string(tok.line));
-        }
-        Advance();  // closing quote
-      } else {
-        switch (c) {
-          case '{': tok.kind = TokenKind::kLBrace; Advance(); break;
-          case '}': tok.kind = TokenKind::kRBrace; Advance(); break;
-          case '(': tok.kind = TokenKind::kLParen; Advance(); break;
-          case ')': tok.kind = TokenKind::kRParen; Advance(); break;
-          case '[': tok.kind = TokenKind::kLBracket; Advance(); break;
-          case ']': tok.kind = TokenKind::kRBracket; Advance(); break;
-          case ',': tok.kind = TokenKind::kComma; Advance(); break;
-          case ';': tok.kind = TokenKind::kSemicolon; Advance(); break;
-          case '=': tok.kind = TokenKind::kAssign; Advance(); break;
-          case '+': tok.kind = TokenKind::kPlus; Advance(); break;
-          case '-': tok.kind = TokenKind::kMinus; Advance(); break;
-          case '/': tok.kind = TokenKind::kSlash; Advance(); break;
-          case ':': tok.kind = TokenKind::kColon; Advance(); break;
-          case '*': tok.kind = TokenKind::kStar; Advance(); break;
-          case '.':
-            Advance();
-            if (!AtEnd() && Peek() == '.') {
-              tok.kind = TokenKind::kDotDot;
-              Advance();
-            } else {
-              tok.kind = TokenKind::kDot;
-            }
-            break;
-          case '<':
-            Advance();
-            if (!AtEnd() && Peek() == '=') {
-              tok.kind = TokenKind::kLessEq;
-              Advance();
-            } else {
-              tok.kind = TokenKind::kLess;
-            }
-            break;
-          default:
-            return Status::ParseError(std::string("unexpected character '") + c +
-                                      "' at line " + std::to_string(line_) +
-                                      ", column " + std::to_string(column_));
-        }
-      }
-      tokens.push_back(std::move(tok));
-    }
-  }
-
- private:
-  bool AtEnd() const { return pos_ >= src_.size(); }
-  char Peek() const { return src_[pos_]; }
-  char PeekAt(size_t ahead) const {
-    return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
-  }
-
-  void Advance() {
-    if (src_[pos_] == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    ++pos_;
-  }
-
-  std::string LexIdentifier() {
-    std::string out;
-    while (!AtEnd()) {
-      const char c = Peek();
-      if (IsIdentChar(c)) {
-        out.push_back(c);
-        Advance();
-      } else if (c == '-' && IsIdentChar(PeekAt(1))) {
-        // Hyphen fused into the identifier (Jan-1993, EMP-DAYS).
-        out.push_back(c);
-        Advance();
-      } else {
-        break;
-      }
-    }
-    return out;
-  }
-
-  Status SkipWhitespaceAndComments() {
-    while (!AtEnd()) {
-      const char c = Peek();
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        Advance();
-      } else if (c == '/' && PeekAt(1) == '*') {
-        const int start_line = line_;
-        Advance();
-        Advance();
-        while (!AtEnd() && !(Peek() == '*' && PeekAt(1) == '/')) Advance();
-        if (AtEnd()) {
-          return Status::ParseError("unterminated comment starting at line " +
-                                    std::to_string(start_line));
-        }
-        Advance();
-        Advance();
-      } else if (c == '/' && PeekAt(1) == '/') {
-        while (!AtEnd() && Peek() != '\n') Advance();
-      } else {
-        break;
-      }
-    }
-    return Status::OK();
-  }
-
-  std::string_view src_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  int column_ = 1;
-};
 
 }  // namespace
 
 Result<std::vector<Token>> Lex(std::string_view source) {
   static obs::Counter* calls = obs::Metrics().counter("caldb.lang.lex.calls");
-  static obs::Counter* tokens = obs::Metrics().counter("caldb.lang.lex.tokens");
+  static obs::Counter* lexed = obs::Metrics().counter("caldb.lang.lex.tokens");
   calls->Increment();
-  Result<std::vector<Token>> result = LexerImpl(source).Run();
-  if (result.ok()) tokens->Add(static_cast<int64_t>(result->size()));
-  return result;
+  CALDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Scan(source));
+  // One pass, compacting in place: drop comments, fuse hyphenated names,
+  // map keywords.  The kEnd token is never fused or dropped.
+  size_t out = 0;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (tokens[i].kind == TokenKind::kComment) continue;
+    Token& tok = tokens[i];
+    if (tok.kind == TokenKind::kIdent) {
+      size_t last = i;
+      while (last + 2 < tokens.size() &&
+             tokens[last + 1].kind == TokenKind::kMinus &&
+             tokens[last + 1].offset == tokens[last].end &&
+             (tokens[last + 2].kind == TokenKind::kIdent ||
+              tokens[last + 2].kind == TokenKind::kInt) &&
+             tokens[last + 2].offset == tokens[last + 1].end) {
+        last += 2;
+      }
+      if (last > i) {
+        tok.end = tokens[last].end;
+        tok.text.assign(source.substr(tok.offset, tok.end - tok.offset));
+        i = last;
+      } else {
+        tok.kind = KeywordKind(tok.text);
+      }
+    }
+    if (&tokens[out] != &tok) tokens[out] = std::move(tok);
+    ++out;
+  }
+  tokens.resize(out);
+  lexed->Add(static_cast<int64_t>(tokens.size()));
+  return tokens;
 }
 
 }  // namespace caldb

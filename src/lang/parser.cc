@@ -8,9 +8,9 @@ namespace caldb {
 
 namespace {
 
-class Parser {
+class Parser : private TokenCursor {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  using TokenCursor::TokenCursor;
 
   Result<Script> ParseScriptTop() {
     Script script;
@@ -33,18 +33,6 @@ class Parser {
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  bool Check(TokenKind k, size_t ahead = 0) const { return Peek(ahead).kind == k; }
-  const Token& Advance() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
-  bool Match(TokenKind k) {
-    if (!Check(k)) return false;
-    Advance();
-    return true;
-  }
-
   Status Unexpected(std::string_view wanted) const {
     const Token& t = Peek();
     return Status::ParseError("expected " + std::string(wanted) + " but found " +
@@ -408,9 +396,6 @@ class Parser {
     int64_t v = Advance().int_value;
     return neg ? -v : v;
   }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
 };
 
 }  // namespace

@@ -1,11 +1,10 @@
 #include "timeseries/pattern.h"
 
-#include <cctype>
 #include <memory>
 #include <optional>
 
 #include "common/macros.h"
-#include "common/strings.h"
+#include "common/scanner.h"
 
 namespace caldb {
 
@@ -25,106 +24,24 @@ struct PExpr {
   PExprPtr rhs;
 };
 
-// --- tiny lexer/parser ------------------------------------------------------
+// --- parser ---------------------------------------------------------------
 
-struct PToken {
-  enum class Kind { kIdent, kNumber, kPunct, kEnd } kind = Kind::kEnd;
-  std::string text;
-  double number = 0;
-};
-
-Result<std::vector<PToken>> PLex(std::string_view src) {
-  std::vector<PToken> tokens;
-  size_t i = 0;
-  while (i < src.size()) {
-    char c = src[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    PToken tok;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
-      while (i < src.size() && (std::isalnum(static_cast<unsigned char>(src[i])) ||
-                                src[i] == '_')) {
-        ++i;
-      }
-      tok.kind = PToken::Kind::kIdent;
-      tok.text = std::string(src.substr(start, i - start));
-    } else if (std::isdigit(static_cast<unsigned char>(c)) || c == '.') {
-      size_t start = i;
-      while (i < src.size() && (std::isdigit(static_cast<unsigned char>(src[i])) ||
-                                src[i] == '.')) {
-        ++i;
-      }
-      tok.kind = PToken::Kind::kNumber;
-      Result<double> number = ParseDouble(src.substr(start, i - start));
-      if (!number.ok()) {
-        return Status::ParseError("bad number in pattern");
-      }
-      tok.number = *number;
-    } else {
-      tok.kind = PToken::Kind::kPunct;
-      if (i + 1 < src.size()) {
-        std::string_view two = src.substr(i, 2);
-        if (two == "<=" || two == ">=" || two == "!=") {
-          tok.text = std::string(two);
-          i += 2;
-          tokens.push_back(tok);
-          continue;
-        }
-      }
-      static constexpr std::string_view kSingles = "()<>=+-*/";
-      if (kSingles.find(c) == std::string_view::npos) {
-        return Status::ParseError(std::string("unexpected character '") + c +
-                                  "' in pattern");
-      }
-      tok.text = std::string(1, c);
-      ++i;
-    }
-    tokens.push_back(tok);
-  }
-  tokens.push_back(PToken{});
-  return tokens;
-}
-
-class PatternParser {
+class PatternParser : private TokenCursor {
  public:
-  explicit PatternParser(std::vector<PToken> tokens)
-      : tokens_(std::move(tokens)) {}
+  using TokenCursor::TokenCursor;
 
   Result<PExprPtr> Parse() {
     CALDB_ASSIGN_OR_RETURN(PExprPtr e, ParseOr());
-    if (Peek().kind != PToken::Kind::kEnd) {
+    if (!Check(TokenKind::kEnd)) {
       return Status::ParseError("trailing input in pattern");
     }
     return e;
   }
 
  private:
-  const PToken& Peek() const { return tokens_[pos_]; }
-  const PToken& Advance() {
-    return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_];
-  }
-  bool MatchPunct(std::string_view p) {
-    if (Peek().kind == PToken::Kind::kPunct && Peek().text == p) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-  bool MatchIdent(std::string_view name) {
-    if (Peek().kind == PToken::Kind::kIdent &&
-        EqualsIgnoreCase(Peek().text, name)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-
   Result<PExprPtr> ParseOr() {
     CALDB_ASSIGN_OR_RETURN(PExprPtr lhs, ParseAnd());
-    while (MatchIdent("or")) {
+    while (MatchKeyword("or")) {
       CALDB_ASSIGN_OR_RETURN(PExprPtr rhs, ParseAnd());
       auto node = std::make_shared<PExpr>();
       node->kind = PExpr::Kind::kLogic;
@@ -138,7 +55,7 @@ class PatternParser {
 
   Result<PExprPtr> ParseAnd() {
     CALDB_ASSIGN_OR_RETURN(PExprPtr lhs, ParseNot());
-    while (MatchIdent("and")) {
+    while (MatchKeyword("and")) {
       CALDB_ASSIGN_OR_RETURN(PExprPtr rhs, ParseNot());
       auto node = std::make_shared<PExpr>();
       node->kind = PExpr::Kind::kLogic;
@@ -151,7 +68,7 @@ class PatternParser {
   }
 
   Result<PExprPtr> ParseNot() {
-    if (MatchIdent("not")) {
+    if (MatchKeyword("not")) {
       CALDB_ASSIGN_OR_RETURN(PExprPtr inner, ParseNot());
       auto node = std::make_shared<PExpr>();
       node->kind = PExpr::Kind::kNot;
@@ -164,17 +81,17 @@ class PatternParser {
   Result<PExprPtr> ParseCompare() {
     CALDB_ASSIGN_OR_RETURN(PExprPtr lhs, ParseAdd());
     char op = 0;
-    if (MatchPunct("<=")) {
+    if (Match(TokenKind::kLessEq)) {
       op = 'L';
-    } else if (MatchPunct(">=")) {
+    } else if (Match(TokenKind::kGreaterEq)) {
       op = 'G';
-    } else if (MatchPunct("!=")) {
+    } else if (Match(TokenKind::kNotEq)) {
       op = '!';
-    } else if (MatchPunct("<")) {
+    } else if (Match(TokenKind::kLess)) {
       op = '<';
-    } else if (MatchPunct(">")) {
+    } else if (Match(TokenKind::kGreater)) {
       op = '>';
-    } else if (MatchPunct("=")) {
+    } else if (Match(TokenKind::kAssign)) {
       op = '=';
     } else {
       return lhs;
@@ -190,9 +107,8 @@ class PatternParser {
 
   Result<PExprPtr> ParseAdd() {
     CALDB_ASSIGN_OR_RETURN(PExprPtr lhs, ParseMul());
-    while (Peek().kind == PToken::Kind::kPunct &&
-           (Peek().text == "+" || Peek().text == "-")) {
-      char op = Advance().text[0];
+    while (Check(TokenKind::kPlus) || Check(TokenKind::kMinus)) {
+      char op = Advance().kind == TokenKind::kPlus ? '+' : '-';
       CALDB_ASSIGN_OR_RETURN(PExprPtr rhs, ParseMul());
       auto node = std::make_shared<PExpr>();
       node->kind = PExpr::Kind::kArith;
@@ -206,9 +122,8 @@ class PatternParser {
 
   Result<PExprPtr> ParseMul() {
     CALDB_ASSIGN_OR_RETURN(PExprPtr lhs, ParseFactor());
-    while (Peek().kind == PToken::Kind::kPunct &&
-           (Peek().text == "*" || Peek().text == "/")) {
-      char op = Advance().text[0];
+    while (Check(TokenKind::kStar) || Check(TokenKind::kSlash)) {
+      char op = Advance().kind == TokenKind::kStar ? '*' : '/';
       CALDB_ASSIGN_OR_RETURN(PExprPtr rhs, ParseFactor());
       auto node = std::make_shared<PExpr>();
       node->kind = PExpr::Kind::kArith;
@@ -221,12 +136,12 @@ class PatternParser {
   }
 
   Result<PExprPtr> ParseFactor() {
-    if (MatchPunct("(")) {
+    if (Match(TokenKind::kLParen)) {
       CALDB_ASSIGN_OR_RETURN(PExprPtr inner, ParseOr());
-      if (!MatchPunct(")")) return Status::ParseError("expected ')' in pattern");
+      if (!Match(TokenKind::kRParen)) return Status::ParseError("expected ')' in pattern");
       return inner;
     }
-    if (MatchPunct("-")) {
+    if (Match(TokenKind::kMinus)) {
       CALDB_ASSIGN_OR_RETURN(PExprPtr inner, ParseFactor());
       auto zero = std::make_shared<PExpr>();
       zero->kind = PExpr::Kind::kConst;
@@ -238,26 +153,29 @@ class PatternParser {
       node->rhs = std::move(inner);
       return node;
     }
-    const PToken& t = Peek();
-    if (t.kind == PToken::Kind::kNumber) {
+    const Token& t = Peek();
+    if (t.kind == TokenKind::kInt || t.kind == TokenKind::kFloat) {
       auto node = std::make_shared<PExpr>();
       node->kind = PExpr::Kind::kConst;
-      node->constant = Advance().number;
+      node->constant = t.kind == TokenKind::kInt
+                           ? static_cast<double>(Advance().int_value)
+                           : Advance().float_value;
       return node;
     }
-    if (t.kind == PToken::Kind::kIdent) {
-      if (MatchIdent("S")) {
+    if (t.kind == TokenKind::kIdent) {
+      if (MatchKeyword("S")) {
         auto node = std::make_shared<PExpr>();
         node->kind = PExpr::Kind::kSeries;
         return node;
       }
-      if (MatchIdent("next") || MatchIdent("prev")) {
-        bool forward = EqualsIgnoreCase(tokens_[pos_ - 1].text, "next");
-        if (!MatchPunct("(")) {
+      const bool forward = CheckKeyword("next");
+      if (forward || CheckKeyword("prev")) {
+        Advance();
+        if (!Match(TokenKind::kLParen)) {
           return Status::ParseError("expected '(' after next/prev");
         }
         CALDB_ASSIGN_OR_RETURN(PExprPtr inner, ParseAdd());
-        if (!MatchPunct(")")) {
+        if (!Match(TokenKind::kRParen)) {
           return Status::ParseError("expected ')' after next/prev argument");
         }
         auto node = std::make_shared<PExpr>();
@@ -270,9 +188,6 @@ class PatternParser {
     }
     return Status::ParseError("expected a pattern term");
   }
-
-  std::vector<PToken> tokens_;
-  size_t pos_ = 0;
 };
 
 // --- evaluation -------------------------------------------------------------
@@ -363,7 +278,7 @@ Status ValidateIsPredicate(const PExpr& e) {
 
 Result<std::vector<size_t>> MatchPatternIndices(const std::vector<double>& values,
                                                 std::string_view pattern) {
-  CALDB_ASSIGN_OR_RETURN(std::vector<PToken> tokens, PLex(pattern));
+  CALDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Scan(pattern));
   CALDB_ASSIGN_OR_RETURN(PExprPtr expr, PatternParser(std::move(tokens)).Parse());
   CALDB_RETURN_IF_ERROR(ValidateIsPredicate(*expr));
   std::vector<size_t> matches;

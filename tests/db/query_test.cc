@@ -91,6 +91,23 @@ TEST(QueryParserTest, Errors) {
   EXPECT_FALSE(ParseStatement("create table t (x varchar)").ok());
   EXPECT_FALSE(ParseStatement("retrieve (x) from w in t extra").ok());
   EXPECT_FALSE(ParseDbExpression("'unterminated").ok());
+  // Integer literals must fit int64.
+  EXPECT_TRUE(ParseDbExpression("9223372036854775807 = 1").ok());
+  EXPECT_FALSE(ParseDbExpression("99999999999999999999 = 1").ok());
+  // Comments are not part of the statement language.
+  EXPECT_FALSE(ParseStatement("retrieve /* c */ (a.x) from a in t").ok());
+  EXPECT_FALSE(ParseStatement("retrieve (a.x) from a in t // c").ok());
+  EXPECT_FALSE(ParseDbExpression("a.x /* c */ = 1").ok());
+}
+
+TEST(QueryParserTest, HyphenIsSubtraction) {
+  // Hyphenated names belong to calendar scripts only.
+  auto r = ParseDbExpression("a.x-1");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ((*r)->kind, DbExpr::Kind::kArith);
+  EXPECT_EQ((*r)->arith, '-');
+  EXPECT_EQ((*r)->lhs->var, "a");
+  EXPECT_EQ((*r)->lhs->column, "x");
 }
 
 // --- expression evaluation ---------------------------------------------

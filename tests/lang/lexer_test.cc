@@ -1,5 +1,7 @@
 #include "lang/lexer.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace caldb {
@@ -101,6 +103,13 @@ TEST(LexerTest, Errors) {
   EXPECT_FALSE(Lex("\"unterminated").ok());
   EXPECT_FALSE(Lex("/* unterminated").ok());
   EXPECT_FALSE(Lex("a # b").ok());
+  // Integer literals must fit int64: past it is a ParseError, not UB.
+  auto max = Lex("9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ((*max)[0].int_value, INT64_MAX);
+  auto over = Lex("[99999999999999999999]/DAYS");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
 }
 
 }  // namespace

@@ -241,6 +241,15 @@ TEST(ParserTest, RoundTripThroughToString) {
   }
 }
 
+TEST(ParserTest, HyphenFusionBeforeDotListop) {
+  // The '.' after Jan-1993 ends the fused name; 1993.o is no float.
+  auto r = ParseExpression("Jan-1993.overlaps.X");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ((*r)->kind, Expr::Kind::kForEach);
+  EXPECT_EQ((*r)->lhs->name, "Jan-1993");
+  EXPECT_EQ((*r)->rhs->name, "X");
+}
+
 TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseExpression("").ok());
   EXPECT_FALSE(ParseExpression("a:bogusop:b").ok());

@@ -78,6 +78,18 @@ TEST(PatternTest, ParseErrors) {
   EXPECT_FALSE(MatchPatternIndices(v, "S + 1").ok());   // not a predicate
   EXPECT_FALSE(MatchPatternIndices(v, "S < 1 extra").ok());
   EXPECT_FALSE(MatchPatternIndices(v, "S @ 1").ok());
+  EXPECT_FALSE(MatchPatternIndices(v, "S < 1 /* c */").ok());
+  EXPECT_FALSE(MatchPatternIndices(v, "S < 1 // c").ok());
+}
+
+TEST(PatternTest, NumbersFollowTheSharedGrammar) {
+  std::vector<double> v = {0.25, 0.75};
+  auto r = MatchPatternIndices(v, "S < 0.5");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, (std::vector<size_t>{0}));
+  // Numbers are d+ or d+.d+: neither a bare leading nor trailing dot.
+  EXPECT_FALSE(MatchPatternIndices(v, "S < .5").ok());
+  EXPECT_FALSE(MatchPatternIndices(v, "S < 5.").ok());
 }
 
 TEST(PatternTest, RegularSeriesYieldsDayPoints) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke check: ASan/UBSan build + full test suite, then a standalone
-# UBSan build over the rep/sweep surface, then a TSan build over the
-# engine's concurrency stress tests.
+# strict-UBSan build over the rep/sweep surface and the text front ends,
+# then a TSan build over the engine's concurrency stress tests.
 #
 #   tools/check.sh [--no-tsan | --tsan-only] [build-dir]
 #
@@ -49,14 +49,19 @@ if [[ "$run_asan" == 1 ]]; then
 
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
-  # Standalone UBSan pass over the shared-rep machinery: the CSR offset
+  # Standalone UBSan pass (-fno-sanitize-recover=all, so UB fails the test
+  # instead of printing a "runtime error" the ASan leg forgives) over the
+  # shared-rep machinery and the text front ends.  The CSR offset
   # arithmetic and span views in calendar_rep/sweep are where a stale index
-  # turns into UB before it turns into a crash.
+  # turns into UB before it turns into a crash; the scanner and the three
+  # parsers on it are where untrusted text meets integer arithmetic.
   ubsan_dir="$repo_root/build-ubsan"
+  ubsan_tests=(sweep_test calendar_rep_test lexer_test parser_test query_test
+               pattern_test random_expression_test front_end_fuzz_test)
   cmake -B "$ubsan_dir" -S "$repo_root" -DCALDB_SANITIZE=undefined
-  cmake --build "$ubsan_dir" -j "$(nproc)" --target sweep_test calendar_rep_test
-  ctest --test-dir "$ubsan_dir" -R '^(sweep_test|calendar_rep_test)$' \
-        --output-on-failure
+  cmake --build "$ubsan_dir" -j "$(nproc)" --target "${ubsan_tests[@]}"
+  ubsan_regex="^($(IFS='|'; echo "${ubsan_tests[*]}"))\$"
+  ctest --test-dir "$ubsan_dir" -R "$ubsan_regex" --output-on-failure
 fi
 
 if [[ "$run_tsan" == 1 ]]; then
