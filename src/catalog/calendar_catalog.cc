@@ -1,5 +1,7 @@
 #include "catalog/calendar_catalog.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "common/strings.h"
 #include "core/generate.h"
@@ -25,6 +27,10 @@ struct CatalogMetrics {
   obs::Counter* eval_cache_misses =
       obs::Metrics().counter("caldb.catalog.eval_cache.misses");
   obs::Histogram* eval_ns = obs::Metrics().histogram("caldb.catalog.eval_ns");
+  obs::Counter* next_fire_memo_hits =
+      obs::Metrics().counter("caldb.catalog.next_fire_memo.hits");
+  obs::Counter* next_fire_memo_misses =
+      obs::Metrics().counter("caldb.catalog.next_fire_memo.misses");
 };
 
 CatalogMetrics& Metrics() {
@@ -284,7 +290,9 @@ Result<Calendar> CalendarCatalog::EvaluateCalendar(const std::string& name,
         return Status::EvalError("calendar '" + name +
                                  "' evaluated to a non-calendar value");
       }
-      {
+      // A value that read `today` depends on opts.today_day, which the key
+      // leaves out: never keep it.
+      if (!evaluator.read_today()) {
         std::lock_guard<std::mutex> cache_lock(cache_mu_);
         eval_cache_[key] = value.calendar;
       }
@@ -411,23 +419,41 @@ Result<std::string> CalendarCatalog::ExplainScript(
 
 namespace {
 
-// Earliest `unit` point > after covered by `cal` (granularity-converted),
-// or nullopt.
-Result<std::optional<TimePoint>> FirstPointAfter(const TimeSystem& ts,
-                                                 const Calendar& cal,
-                                                 TimePoint after,
-                                                 Granularity unit) {
-  // The min over all leaves is order-independent, so walk the shared flat
-  // buffer directly (zero-copy) instead of materializing a flatten.
-  std::optional<TimePoint> best;
+// The points of `cal` as `unit` granules, sorted and merged into disjoint
+// intervals: the form FirstPointAfter searches and the next-fire memo
+// keeps.
+Result<std::shared_ptr<const NextFireMemo::Points>> UnitPoints(
+    const TimeSystem& ts, const Calendar& cal, Granularity unit) {
+  NextFireMemo::Points converted;
   for (const Interval& i : cal.Leaves()) {
     CALDB_ASSIGN_OR_RETURN(Interval points,
                            IntervalToUnit(ts, cal.granularity(), i, unit));
-    if (points.hi <= after) continue;
-    TimePoint candidate = points.lo > after ? points.lo : PointAdd(after, 1);
-    if (!best.has_value() || candidate < *best) best = candidate;
+    converted.push_back(points);
   }
-  return best;
+  std::sort(converted.begin(), converted.end(),
+            [](const Interval& a, const Interval& b) {
+              return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
+            });
+  auto merged = std::make_shared<NextFireMemo::Points>();
+  for (const Interval& i : converted) {
+    if (!merged->empty() && i.lo <= PointAdd(merged->back().hi, 1)) {
+      merged->back().hi = std::max(merged->back().hi, i.hi);
+    } else {
+      merged->push_back(i);
+    }
+  }
+  return std::shared_ptr<const NextFireMemo::Points>(std::move(merged));
+}
+
+// Earliest point > after covered by `points` (sorted, disjoint), or
+// nullopt.
+std::optional<TimePoint> FirstPointAfter(const NextFireMemo::Points& points,
+                                         TimePoint after) {
+  auto it = std::partition_point(
+      points.begin(), points.end(),
+      [after](const Interval& i) { return i.hi <= after; });
+  if (it == points.end()) return std::nullopt;
+  return it->lo > after ? it->lo : PointAdd(after, 1);
 }
 
 }  // namespace
@@ -447,9 +473,9 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFireDay(
     opts.window_days = window;
     opts.today_day = PointAdd(after_day, 1);
     CALDB_ASSIGN_OR_RETURN(Calendar cal, EvaluateCalendar(name, opts));
-    CALDB_ASSIGN_OR_RETURN(
-        std::optional<TimePoint> hit,
-        FirstPointAfter(time_system_, cal, after_day, Granularity::kDays));
+    CALDB_ASSIGN_OR_RETURN(auto points,
+                           UnitPoints(time_system_, cal, Granularity::kDays));
+    std::optional<TimePoint> hit = FirstPointAfter(*points, after_day);
     if (hit.has_value() && *hit <= limit_day) return hit;
     if (end_year >= limit_year) return std::optional<TimePoint>(std::nullopt);
   }
@@ -476,20 +502,38 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFirePointForPlan(
   int32_t start_year =
       time_system_.CivilFromDayPoint(after_days.lo).year;
   int32_t limit_year = time_system_.CivilFromDayPoint(limit_days.hi).year;
-  Evaluator evaluator(&time_system_, this);
+  // Captured before any evaluation, as in EvaluateCalendar: a window
+  // evaluated while a Define*/Drop lands is stored under the old version,
+  // where no later lookup finds it.
+  const uint64_t version_at_start = version();
+  std::optional<Evaluator> evaluator;  // built on the first memo miss
   for (int32_t span = 1;; span *= 2) {
     int32_t end_year = std::min<int32_t>(start_year + span - 1, limit_year);
-    CALDB_ASSIGN_OR_RETURN(Interval window, YearWindow(start_year, end_year));
-    EvalOptions opts;
-    opts.window_days = window;
-    opts.today_day = after_days.lo;
-    CALDB_ASSIGN_OR_RETURN(ScriptValue value, evaluator.Run(plan, opts));
-    if (value.kind == ScriptValue::Kind::kCalendar) {
-      CALDB_ASSIGN_OR_RETURN(
-          std::optional<TimePoint> hit,
-          FirstPointAfter(time_system_, value.calendar, after_point, unit));
-      if (hit.has_value() && *hit <= limit_point) return hit;
+    // Everything the window's evaluation depends on except `today`, whose
+    // readers are never stored: a hit equals a fresh evaluation.
+    const NextFireMemo::Key key{start_year, end_year, version_at_start, unit};
+    std::shared_ptr<const NextFireMemo::Points> points =
+        plan.next_fire_memo.Find(key);
+    if (points != nullptr) {
+      Metrics().next_fire_memo_hits->Increment();
+    } else {
+      Metrics().next_fire_memo_misses->Increment();
+      CALDB_ASSIGN_OR_RETURN(Interval window, YearWindow(start_year, end_year));
+      EvalOptions opts;
+      opts.window_days = window;
+      opts.today_day = after_days.lo;
+      if (!evaluator.has_value()) evaluator.emplace(&time_system_, this);
+      CALDB_ASSIGN_OR_RETURN(ScriptValue value, evaluator->Run(plan, opts));
+      if (value.kind == ScriptValue::Kind::kCalendar) {
+        CALDB_ASSIGN_OR_RETURN(points,
+                               UnitPoints(time_system_, value.calendar, unit));
+      } else {
+        points = std::make_shared<const NextFireMemo::Points>();
+      }
+      if (!evaluator->read_today()) plan.next_fire_memo.Store(key, points);
     }
+    std::optional<TimePoint> hit = FirstPointAfter(*points, after_point);
+    if (hit.has_value() && *hit <= limit_point) return hit;
     if (end_year >= limit_year) return std::optional<TimePoint>(std::nullopt);
   }
 }

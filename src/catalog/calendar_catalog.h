@@ -131,6 +131,11 @@ class CalendarCatalog : public CalendarSource {
 
   /// Granularity-generalized next firing: points are granules of `unit`
   /// (HOURS for process-control rules, DAYS for the paper's examples).
+  /// The last year window evaluated is memoized on `plan`
+  /// (Plan::next_fire_memo), keyed by (first year, last year, catalog
+  /// version, unit), so successive firings of a rule inside one window
+  /// cost a binary search.  An evaluation that read `today` is never
+  /// memoized.  Safe to call concurrently on one plan.
   Result<std::optional<TimePoint>> NextFirePointForPlan(const Plan& plan,
                                                         TimePoint after_point,
                                                         TimePoint limit_point,
@@ -166,7 +171,8 @@ class CalendarCatalog : public CalendarSource {
   // Evaluated values of derived calendars, keyed by (name, catalog
   // version, window) — the caching role of the CALENDARS row's `values`
   // column.  Cleared on Define*/Drop; the version key component is what
-  // makes a stale racing insert harmless (see version_ above).
+  // makes a stale racing insert harmless (see version_ above).  Values
+  // that read `today` are never inserted: the key has no today.
   mutable std::mutex cache_mu_;
   mutable std::map<std::tuple<std::string, uint64_t, TimePoint, TimePoint>,
                    Calendar>

@@ -133,6 +133,7 @@ struct Evaluator::Frame {
 Result<ScriptValue> Evaluator::Run(const Plan& plan, const EvalOptions& opts,
                                    EvalStats* stats) {
   stats_ = stats;
+  read_today_ = false;
   // The catalog was redefined since the cache was filled: drop everything.
   // Cheap insurance today (only catalog-independent base generations are
   // cached), load-bearing the moment any catalog-derived value lands in
@@ -387,6 +388,7 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
     }
 
     case PlanOpCode::kToday: {
+      read_today_ = true;
       const TimePoint today = frame->opts->today_day;
       if (FinerThan(unit, Granularity::kDays) || unit == Granularity::kDays) {
         CALDB_ASSIGN_OR_RETURN(Interval i,

@@ -143,6 +143,11 @@ class Evaluator {
   Result<ScriptValue> Run(const Plan& plan, const EvalOptions& opts,
                           EvalStats* stats = nullptr);
 
+  /// Whether the last Run read `today`, in its plan or in any derived
+  /// calendar it invoked.  Such a value depends on EvalOptions::today_day,
+  /// so callers that cache by window must not keep it.
+  bool read_today() const { return read_today_; }
+
  private:
   struct Frame;
 
@@ -174,6 +179,7 @@ class Evaluator {
   // The catalog version gen_cache_ content was computed against; Run
   // clears the cache when EvalOptions::catalog_version moves past it.
   uint64_t gen_cache_version_ = 0;
+  bool read_today_ = false;  // see read_today()
 };
 
 /// Converts a DAYS window to a covering window in `unit` points.

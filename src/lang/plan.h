@@ -14,6 +14,9 @@
 #ifndef CALDB_LANG_PLAN_H_
 #define CALDB_LANG_PLAN_H_
 
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -99,6 +102,48 @@ struct StepProfile {
   }
 };
 
+/// The next-fire memo of a compiled plan (CalendarCatalog::
+/// NextFirePointForPlan): the last year window the plan was evaluated over,
+/// kept as sorted, disjoint, merged intervals of the rule's point unit, so
+/// that a next-fire lookup inside that window is a binary search instead
+/// of an evaluation.  The key is everything such an evaluation depends on
+/// apart from `today`; the catalog never stores an evaluation that read
+/// `today`.  Thread-safe: DBCRON and client threads share rule plans.
+class NextFireMemo {
+ public:
+  struct Key {
+    int32_t first_year = 0;
+    int32_t last_year = 0;
+    uint64_t catalog_version = 0;
+    Granularity unit = Granularity::kDays;
+    bool operator==(const Key&) const = default;
+  };
+  using Points = std::vector<Interval>;
+
+  NextFireMemo() = default;
+  // A copied plan starts cold: the memo belongs to one Plan object.
+  NextFireMemo(const NextFireMemo&) {}
+  NextFireMemo& operator=(const NextFireMemo&) { return *this; }
+
+  /// The stored points when `key` matches the stored window, else null.
+  std::shared_ptr<const Points> Find(const Key& key) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return points_ != nullptr && key_ == key ? points_ : nullptr;
+  }
+
+  /// Replaces the stored window.
+  void Store(const Key& key, std::shared_ptr<const Points> points) {
+    std::lock_guard<std::mutex> lock(mu_);
+    key_ = key;
+    points_ = std::move(points);
+  }
+
+ private:
+  mutable std::mutex mu_;
+  Key key_;
+  std::shared_ptr<const Points> points_;
+};
+
 struct Plan {
   std::vector<PlanStep> steps;
   int num_registers = 0;
@@ -109,6 +154,9 @@ struct Plan {
   // (useful for tooling and cost inspection; evaluation itself derives
   // windows dynamically from operand spans).
   std::vector<Granularity> generated_granularities;
+  // Filled by next-fire lookups on a const plan (rules hold their plans
+  // as shared_ptr<const Plan>).
+  mutable NextFireMemo next_fire_memo;
 
   /// Human-readable listing ("the set of procedural statements" shown in
   /// the paper's Figure 1).  With a profile, each step is annotated with

@@ -44,36 +44,29 @@ Status DbCron::Probe(TimePoint now) {
   // points, so this costs nothing extra on the index.
   CALDB_ASSIGN_OR_RETURN(auto due,
                          rules_->DueBetween(INT64_MIN + 1, window_end));
-  // The heap may already hold entries for this window (e.g. a rule fired
+  // pending_ may already hold entries for this window (e.g. a rule fired
   // earlier in the window and its next firing landed inside it again);
-  // avoid duplicates.
-  std::set<HeapEntry> pending;
-  {
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> copy =
-        heap_;
-    while (!copy.empty()) {
-      pending.insert(copy.top());
-      copy.pop();
-    }
-  }
-  for (const auto& entry : due) {
-    if (pending.count(entry) == 0) heap_.push(entry);
-  }
-  stats_.max_heap_size = std::max<int64_t>(
-      stats_.max_heap_size, static_cast<int64_t>(heap_.size()));
-  Metrics().heap_depth->Set(static_cast<int64_t>(heap_.size()));
+  // the set keeps one of each.
+  for (const auto& [fire_day, rule_id] : due) Schedule(fire_day, rule_id);
   return Status::OK();
+}
+
+void DbCron::Schedule(TimePoint fire_day, int64_t rule_id) {
+  pending_.emplace(fire_day, rule_id);
+  stats_.max_heap_size = std::max<int64_t>(
+      stats_.max_heap_size, static_cast<int64_t>(pending_.size()));
+  Metrics().heap_depth->Set(static_cast<int64_t>(pending_.size()));
 }
 
 Status DbCron::AdvanceTo(TimePoint day) {
   TimePoint now = clock_->NowDay();
   if (day < now) return Status::OK();
   while (true) {
-    // Next event: the earliest of (scheduled probe, earliest heap firing).
+    // Next event: the earliest of (scheduled probe, earliest pending firing).
     TimePoint next_event = next_probe_day_;
     bool is_fire = false;
-    if (!heap_.empty() && heap_.top().first <= next_event) {
-      next_event = heap_.top().first;
+    if (!pending_.empty() && pending_.begin()->first <= next_event) {
+      next_event = pending_.begin()->first;
       is_fire = true;
     }
     if (next_event > day) break;
@@ -82,9 +75,9 @@ Status DbCron::AdvanceTo(TimePoint day) {
     now = next_event;
 
     if (is_fire) {
-      HeapEntry entry = heap_.top();
-      heap_.pop();
-      Metrics().heap_depth->Set(static_cast<int64_t>(heap_.size()));
+      const HeapEntry entry = *pending_.begin();
+      pending_.erase(pending_.begin());
+      Metrics().heap_depth->Set(static_cast<int64_t>(pending_.size()));
       ++stats_.fires;
       Metrics().fires->Increment();
       // The clock clamps backwards moves, so for an overdue entry (rule
@@ -102,7 +95,7 @@ Status DbCron::AdvanceTo(TimePoint day) {
         if (!fired.rule_name.empty()) span.AddAttr("rule", fired.rule_name);
         return r;
       }();
-      // A dropped rule may still sit in the heap (FireRule -> NotFound
+      // A dropped rule may still sit in pending_ (FireRule -> NotFound
       // before the name lookup filled `fired.rule_name`): nothing was
       // actually fired, so no audit record either.
       if (!fired.rule_name.empty()) {
@@ -129,10 +122,7 @@ Status DbCron::AdvanceTo(TimePoint day) {
       // schedule it directly (RULE-TIME was updated, but this window's
       // probe has passed).
       if (next.ok() && next->has_value() && **next < next_probe_day_) {
-        heap_.push(HeapEntry{**next, entry.second});
-        stats_.max_heap_size = std::max<int64_t>(
-            stats_.max_heap_size, static_cast<int64_t>(heap_.size()));
-        Metrics().heap_depth->Set(static_cast<int64_t>(heap_.size()));
+        Schedule(**next, entry.second);
       }
     } else {
       CALDB_RETURN_IF_ERROR(Probe(now));

@@ -9,7 +9,7 @@
 // The reproduction drives DBCRON from a virtual clock: AdvanceTo(day)
 // plays time forward, probing RULE-TIME every `probe_period` days (via
 // the B+tree index on next_fire) and firing due rules in time order from
-// a min-heap.
+// an ordered set of pending firings.
 //
 // Direct construction is deprecated for concurrent use: DbCron itself is
 // single-threaded, and running it next to live sessions needs the
@@ -22,8 +22,8 @@
 #ifndef CALDB_RULES_DBCRON_H_
 #define CALDB_RULES_DBCRON_H_
 
-#include <queue>
-#include <vector>
+#include <set>
+#include <utility>
 
 #include "rules/clock.h"
 #include "rules/temporal_rules.h"
@@ -59,8 +59,12 @@ class DbCron {
 
  private:
   // Probes RULE-TIME for rules due in [now, now + T) and loads them into
-  // the in-memory heap.
+  // the pending set.
   Status Probe(TimePoint now);
+
+  // Adds a firing to pending_ (a no-op when already there) and updates
+  // max_heap_size and the caldb.cron.heap_depth gauge.
+  void Schedule(TimePoint fire_day, int64_t rule_id);
 
   using HeapEntry = std::pair<TimePoint, int64_t>;  // (fire_day, rule_id)
 
@@ -68,7 +72,11 @@ class DbCron {
   VirtualClock* clock_;
   int64_t probe_period_days_;
   TimePoint next_probe_day_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
+  // The paper's main-memory structure: firings due before the next probe,
+  // in (fire_day, rule_id) order.  A set, so that a firing loaded twice
+  // (by a probe and by a rescheduling inside the probed window) is held
+  // once.
+  std::set<HeapEntry> pending_;
   CronStats stats_;
 };
 

@@ -82,6 +82,12 @@ Result<std::unique_ptr<TemporalRuleManager>> TemporalRuleManager::Create(
     CALDB_ASSIGN_OR_RETURN(Table * time_table, db->GetTable(kRuleTimeTable));
     CALDB_RETURN_IF_ERROR(time_table->CreateIndex("next_fire"));
   }
+  // RULE-TIME rows are found by rule id on every firing.  A table restored
+  // from an older snapshot may carry only the next_fire index: add it.
+  CALDB_ASSIGN_OR_RETURN(Table * time_table, db->GetTable(kRuleTimeTable));
+  if (!time_table->HasIndex("rule_id")) {
+    CALDB_RETURN_IF_ERROR(time_table->CreateIndex("rule_id"));
+  }
   // The action-command escape hatch: fire_day() reads the day the firing
   // rule triggered at.
   TemporalRuleManager* raw = manager.get();
@@ -138,12 +144,7 @@ Result<int64_t> TemporalRuleManager::DeclareRule(
                                       Value::Text(expression),
                                       Value::Int(now_day)})
                             .status());
-  CALDB_ASSIGN_OR_RETURN(Table * time_table, db_->GetTable(kRuleTimeTable));
-  if (first_fire.has_value()) {
-    CALDB_RETURN_IF_ERROR(
-        time_table->Insert({Value::Int(rule.id), Value::Int(*first_fire)})
-            .status());
-  }
+  CALDB_RETURN_IF_ERROR(UpdateRuleTime(rule.id, first_fire));
   int64_t id = rule.id;
   rules_[id] = std::move(rule);
   return id;
@@ -238,19 +239,21 @@ TemporalRuleManager::DueBetween(TimePoint lo, TimePoint hi) const {
 Status TemporalRuleManager::UpdateRuleTime(int64_t id,
                                            std::optional<TimePoint> next_fire) {
   CALDB_ASSIGN_OR_RETURN(Table * time_table, db_->GetTable(kRuleTimeTable));
-  std::vector<RowId> existing;
-  time_table->Scan([&](RowId row_id, const Row& row) {
-    if (row[0].AsInt().value_or(-1) == id) existing.push_back(row_id);
-    return true;
-  });
-  for (RowId row_id : existing) {
-    CALDB_RETURN_IF_ERROR(time_table->Delete(row_id));
+  // At most one row per rule: every RULE-TIME write outside snapshot
+  // restore comes through here.
+  std::optional<RowId> existing;
+  CALDB_RETURN_IF_ERROR(
+      time_table->IndexScan("rule_id", id, id, [&](RowId row_id, const Row&) {
+        existing = row_id;
+        return false;
+      }));
+  if (!next_fire.has_value()) {
+    return existing.has_value() ? time_table->Delete(*existing) : Status::OK();
   }
-  if (next_fire.has_value()) {
-    CALDB_RETURN_IF_ERROR(
-        time_table->Insert({Value::Int(id), Value::Int(*next_fire)}).status());
-  }
-  return Status::OK();
+  Row row = {Value::Int(id), Value::Int(*next_fire)};
+  // In place: a firing leaves no tombstone behind.
+  if (existing.has_value()) return time_table->Update(*existing, std::move(row));
+  return time_table->Insert(std::move(row)).status();
 }
 
 Result<std::optional<TimePoint>> TemporalRuleManager::FireRule(

@@ -5,7 +5,9 @@
 // stored in the table RULE-INFO, and the next time point at which the rule
 // should trigger is evaluated and stored in RULE-TIME (indexed on the
 // firing point).  DBCRON (see dbcron.h) probes RULE-TIME every T time
-// units — exactly the structure of the paper's Figure 4.
+// units — exactly the structure of the paper's Figure 4.  RULE-TIME holds
+// one row per active rule, also indexed on rule_id: a firing rewrites its
+// rule's row in place.
 
 #ifndef CALDB_RULES_TEMPORAL_RULES_H_
 #define CALDB_RULES_TEMPORAL_RULES_H_
@@ -58,8 +60,9 @@ struct TemporalRule {
 class TemporalRuleManager {
  public:
   /// `catalog` and `db` must outlive the manager.  Creates the RULE-INFO
-  /// and RULE-TIME tables in `db` (with a B+tree index on the firing
-  /// point) and registers the fire_day() function.
+  /// and RULE-TIME tables in `db` (with B+tree indexes on the firing point
+  /// and on rule_id; the rule_id index is added to a RULE-TIME table that
+  /// lacks it) and registers the fire_day() function.
   ///
   /// `unit` is the granularity of rule time points: DAYS for the paper's
   /// examples, HOURS (or finer) for process-control rules.  All points
@@ -141,6 +144,8 @@ class TemporalRuleManager {
                       TimePoint horizon_day, Granularity unit)
       : catalog_(catalog), db_(db), horizon_day_(horizon_day), unit_(unit) {}
 
+  // Sets rule `id`'s RULE-TIME row to `next_fire` in place (inserting it
+  // if missing); nullopt deletes it (the rule went dormant or was dropped).
   Status UpdateRuleTime(int64_t id, std::optional<TimePoint> next_fire);
 
   const CalendarCatalog* catalog_;

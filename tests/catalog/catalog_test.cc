@@ -136,6 +136,28 @@ TEST_F(CatalogTest, CyclicDerivationsRejected) {
   EXPECT_EQ(self.code(), StatusCode::kNotFound);
 }
 
+TEST_F(CatalogTest, TodayReadersAreNotServedFromTheEvalCache) {
+  // The eval-cache key has no `today`, so a calendar that reads it must
+  // not be cached: a later evaluation with another today is fresh.
+  ASSERT_TRUE(catalog_.DefineDerived("THISWEEK", "WEEKS:overlaps:today").ok());
+  EvalOptions opts;
+  opts.window_days = *catalog_.YearWindow(1993, 1993);
+  opts.today_day = 69;  // 1993-03-10, in week 11
+  auto march = catalog_.EvaluateCalendar("THISWEEK", opts);
+  ASSERT_TRUE(march.ok()) << march.status();
+  EXPECT_EQ(march->ToString(), "{(11,11)}");
+  opts.today_day = 253;  // 1993-09-10, in week 37
+  auto september = catalog_.EvaluateCalendar("THISWEEK", opts);
+  ASSERT_TRUE(september.ok()) << september.status();
+  EXPECT_EQ(september->ToString(), "{(37,37)}");
+
+  CalendarCatalog fresh{TimeSystem{CivilDate{1993, 1, 1}}};
+  ASSERT_TRUE(fresh.DefineDerived("THISWEEK", "WEEKS:overlaps:today").ok());
+  auto reference = fresh.EvaluateCalendar("THISWEEK", opts);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(september->ToString(), reference->ToString());
+}
+
 TEST_F(CatalogTest, YearWindow) {
   auto window = catalog_.YearWindow(1993, 1993);
   ASSERT_TRUE(window.ok());

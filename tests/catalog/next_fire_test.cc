@@ -87,6 +87,15 @@ TEST_F(NextFireTest, LimitBoundsTheSearch) {
   EXPECT_FALSE(beyond->has_value());
 }
 
+TEST_F(NextFireTest, TodayReaderFollowsTheSearchDay) {
+  // THISWEEK reads `today`, which NextFireDay sets to after + 1: the answer
+  // is the next day of the week containing it, never a cached week.
+  ASSERT_TRUE(catalog_.DefineDerived("THISWEEK", "WEEKS:overlaps:today").ok());
+  EXPECT_EQ(Next("THISWEEK", 252), 253);  // 1993-09-10, week 37
+  // Week 37 (days 249..255) served again would answer 249 here.
+  EXPECT_EQ(Next("THISWEEK", 68), 69);    // 1993-03-10, week 11
+}
+
 TEST_F(NextFireTest, UnknownCalendar) {
   EXPECT_FALSE(catalog_.NextFireDay("NoSuch", 1, 100).ok());
 }

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -493,6 +494,76 @@ TEST(EngineConcurrencyTest, DisjointTableWritersKeepExactCounts) {
 
 // Destruction with traffic in flight: Engine::~Engine stops DBCRON and
 // drains the pool without losing already-queued work or deadlocking.
+// Client threads look up next firings on the live rule plans, as the
+// benchmark's trace mode does, while DBCRON fires the same rules and so
+// fills and reads the same next-fire memos.  Every answer must match a
+// cold copy of the plan; under TSan, any unguarded memo access fails.
+TEST(EngineConcurrencyTest, NextFireLookupsRaceFirings) {
+  auto engine = Engine::Create().value();
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(session->Execute("create table fires (rule int, day int)").ok());
+  const std::vector<std::string> exprs = {"[2]/DAYS:during:WEEKS",
+                                          "[5]/DAYS:during:WEEKS",
+                                          "[n]/DAYS:during:MONTHS",
+                                          "[15]/DAYS:during:MONTHS"};
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(session
+                    ->Execute("declare rule r" + n + " on " + exprs[i] +
+                              " do append fires (rule = " + n +
+                              ", day = $1)")
+                    .ok());
+  }
+  constexpr TimePoint kLastDay = 800;  // over two year boundaries
+  const TimePoint horizon = engine->options().rule_horizon;
+  std::vector<std::shared_ptr<const Plan>> plans;
+  // expected[i][d]: rule i's next firing after day d, from a cold copy.
+  std::vector<std::vector<std::optional<TimePoint>>> expected;
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    TemporalRule rule = engine
+                            ->WithRulesRead([&](const TemporalRuleManager& m) {
+                              return m.GetRuleByName("r" + std::to_string(i));
+                            })
+                            .value();
+    plans.push_back(rule.plan);
+    const Plan cold = *rule.plan;
+    std::vector<std::optional<TimePoint>> next(kLastDay + 1);
+    for (TimePoint d = 1; d <= kLastDay; ++d) {
+      next[d] = engine->catalog().NextFireDayForPlan(cold, d, horizon).value();
+    }
+    expected.push_back(std::move(next));
+  }
+
+  std::atomic<bool> failed{false};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (int round = 0; !done.load() || round == 0; ++round) {
+        for (TimePoint d = 1 + c; d <= kLastDay; d += 3) {
+          for (size_t i = 0; i < plans.size(); ++i) {
+            auto next =
+                engine->catalog().NextFireDayForPlan(*plans[i], d, horizon);
+            if (!next.ok() || *next != expected[i][d]) failed.store(true);
+          }
+        }
+      }
+    });
+  }
+  for (TimePoint day = 2; day <= kLastDay; day += 5) {
+    if (!engine->AdvanceTo(day).ok()) failed.store(true);
+  }
+  done.store(true);
+  for (auto& t : clients) t.join();
+  EXPECT_FALSE(failed.load());
+
+  auto fires = session->Execute("retrieve (f.day) from f in fires");
+  ASSERT_TRUE(fires.ok());
+  EXPECT_EQ(static_cast<int64_t>(fires->rows.size()),
+            engine->CronStats().fires);
+  EXPECT_TRUE(engine->Stop().ok());
+}
+
 TEST(EngineConcurrencyTest, CleanShutdownUnderLoad) {
   for (int round = 0; round < 3; ++round) {
     EngineOptions opts;

@@ -11,6 +11,7 @@
 #include "engine/engine.h"
 #include "engine/session.h"
 #include "obs/audit.h"
+#include "storage/snapshot.h"
 
 namespace caldb {
 namespace {
@@ -270,6 +271,68 @@ TEST(EngineRestart, MissedFiringsHappenExactlyOnceAndAuditShowsTheLag) {
   auto again = Engine::Create(late);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(CountRows(**again, "retrieve (l.day) from l in LOG"), 3);
+}
+
+// A snapshot written before RULE-TIME carried its rule_id index lists only
+// next_fire among RULE_TIME's indexed columns.  Recovery adds the missing
+// index, and the missed firings still happen exactly once.
+TEST(EngineRestart, SnapshotWithoutRuleIdIndexRecovers) {
+  std::string dir = FreshDataDir("caldb_restart_old_rule_time");
+  {
+    auto engine = Engine::Create(DurableOptions(dir));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->Execute("create table LOG (day int)").ok());
+    TemporalAction action;
+    action.command = "append LOG (day = fire_day())";
+    ASSERT_TRUE(
+        (*engine)->DeclareRule("weekly", "[2]/DAYS:during:WEEKS", action).ok());
+    ASSERT_TRUE((*engine)->AdvanceTo(6).ok());  // fires day 5
+    ASSERT_TRUE((*engine)->Stop().ok());        // snapshots
+  }
+  // Rewrite the snapshot in the older layout.
+  const std::string path = dir + "/snapshot";
+  Result<storage::SnapshotReadResult> read = storage::ReadSnapshotFile(path);
+  ASSERT_TRUE(read.ok() && read->found);
+  bool rewrote = false;
+  for (auto& table : read->image.tables) {
+    if (table.name != "RULE_TIME") continue;
+    EXPECT_EQ(table.indexed_columns.size(), 2u);
+    table.indexed_columns = {"next_fire"};
+    rewrote = true;
+  }
+  ASSERT_TRUE(rewrote);
+  ASSERT_TRUE(storage::WriteSnapshotFile(path, read->image).ok());
+
+  EngineOptions late = DurableOptions(dir);
+  late.start_day = 21;  // days 12 and 19 were missed
+  auto engine = Engine::Create(late);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_TRUE((*engine)->WithDbRead([](const Database& db) {
+    return db.GetTable("RULE_TIME").value()->HasIndex("rule_id");
+  }));
+  ASSERT_TRUE((*engine)->AdvanceTo(22).ok());
+  Result<QueryResult> rows =
+      (*engine)->Execute("retrieve (l.day) from l in LOG");
+  ASSERT_TRUE(rows.ok());
+  std::vector<int64_t> days;
+  for (const Row& row : rows->rows) days.push_back(row[0].AsInt().value());
+  EXPECT_EQ(days, (std::vector<int64_t>{5, 12, 19}));
+  // One RULE-TIME row, found through the added index: next Tuesday, 26.
+  std::vector<int64_t> next_fires = (*engine)->WithDbRead(
+      [](const Database& db) {
+        std::vector<int64_t> out;
+        const Table* table = db.GetTable("RULE_TIME").value();
+        EXPECT_EQ(table->size(), 1);
+        EXPECT_TRUE(table
+                        ->IndexScan("rule_id", 1, 1,
+                                    [&](RowId, const Row& row) {
+                                      out.push_back(row[1].AsInt().value());
+                                      return true;
+                                    })
+                        .ok());
+        return out;
+      });
+  EXPECT_EQ(next_fires, (std::vector<int64_t>{26}));
 }
 
 TEST(EngineRestart, ManualCheckpointTruncatesTheWal) {

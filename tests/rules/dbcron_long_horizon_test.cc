@@ -89,5 +89,59 @@ TEST(DbCronLongHorizon, FiringsInterleaveInTimeOrder) {
   EXPECT_EQ(fires_on_90, 2);
 }
 
+TEST(DbCronLongHorizon, RuleTimeHoldsOneLiveRowPerActiveRule) {
+  CalendarCatalog catalog{TimeSystem{CivilDate{1990, 1, 1}}};
+  Database db;
+  auto rules = TemporalRuleManager::Create(&catalog, &db, /*horizon=*/20000)
+                   .value();
+  int64_t fires = 0;
+  TemporalAction action;
+  action.callback = [&fires](TimePoint) {
+    ++fires;
+    return Status::OK();
+  };
+  const std::vector<std::pair<std::string, std::string>> defs = {
+      {"tuesdays", "[2]/DAYS:during:WEEKS"},
+      {"month_ends", "[n]/DAYS:during:MONTHS"},
+      {"quarters", "[n]/DAYS:during:caloperate(MONTHS, *, 3)"}};
+  std::vector<int64_t> ids;
+  for (const auto& [name, expr] : defs) {
+    ids.push_back(rules->DeclareRule(name, expr, action, 1).value());
+  }
+  VirtualClock clock(1);
+  DbCron cron(rules.get(), &clock, 7);
+  ASSERT_TRUE(cron.AdvanceTo(3652).ok());  // the decade 1990..1999
+  EXPECT_EQ(fires, 522 + 120 + 40);
+
+  const Table* time_table =
+      static_cast<const Database&>(db).GetTable("RULE_TIME").value();
+  ASSERT_TRUE(time_table->HasIndex("rule_id"));
+  ASSERT_TRUE(time_table->HasIndex("next_fire"));
+  EXPECT_EQ(time_table->size(), static_cast<int64_t>(ids.size()));
+  auto rows_of = [&](int64_t id) {
+    std::vector<Row> rows;
+    EXPECT_TRUE(time_table
+                    ->IndexScan("rule_id", id, id,
+                                [&](RowId, const Row& row) {
+                                  rows.push_back(row);
+                                  return true;
+                                })
+                    .ok());
+    return rows;
+  };
+  for (int64_t id : ids) {
+    std::vector<Row> rows = rows_of(id);
+    ASSERT_EQ(rows.size(), 1u) << id;
+    // The next firing, in 2000: Tue Jan 4, Mon Jan 31, Fri Mar 31.
+    EXPECT_GT(rows[0][1].AsInt().value(), 3652) << id;
+  }
+  EXPECT_EQ(rows_of(ids[0])[0][1].AsInt().value(), 3656);
+
+  ASSERT_TRUE(rules->DropRule("tuesdays").ok());
+  EXPECT_TRUE(rows_of(ids[0]).empty());
+  EXPECT_EQ(time_table->size(), static_cast<int64_t>(ids.size()) - 1);
+  EXPECT_EQ(rows_of(ids[1]).size(), 1u);
+}
+
 }  // namespace
 }  // namespace caldb
