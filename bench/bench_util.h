@@ -3,12 +3,17 @@
 // table, plus one machine-readable JSON line per benchmark run on stdout —
 //
 //   BENCH {"name":"BM_GenerateDays/365","iters":123,"ns_per_op":4567.8,
+//          "nproc":4,"build_type":"Release","git_sha":"3bdc831e15c3-dirty",
 //          "registry":{...MetricRegistry::ExportJson()...}}
 //
-// The registry snapshot carries the caldb.* counters accumulated so far,
-// so scan/cache behaviour can be read off alongside the timings.  When the
-// CALDB_BENCH_JSON environment variable names a file, the JSON lines are
-// also appended there (the BENCH_*.json convention of the perf scripts).
+// The registry is reset before each benchmark (rung), so its snapshot
+// carries that rung's own caldb.* counter deltas — its set-up and every
+// run Google Benchmark made of it — and scan/cache behaviour can be read
+// off alongside the timings.  nproc, the CMake build type and the commit
+// checked out in the source tree record where the line came from.  When
+// the CALDB_BENCH_JSON environment variable names a file, the JSON lines
+// are also appended there (the BENCH_*.json convention of the perf
+// scripts).
 
 #ifndef CALDB_BENCH_BENCH_UTIL_H_
 #define CALDB_BENCH_BENCH_UTIL_H_
@@ -18,17 +23,49 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 
 namespace caldb::bench {
 
+// The commit checked out in the source tree, suffixed "-dirty" when the
+// tree has uncommitted changes (a row measured on them names no commit),
+// or "unknown" when git cannot tell.
+inline std::string SourceGitSha() {
+  const std::string cmd = std::string("git -C '") + CALDB_SOURCE_DIR +
+                          "' describe --always --dirty --abbrev=12"
+                          " --exclude='*' 2>/dev/null";
+  std::string sha;
+  if (FILE* pipe = popen(cmd.c_str(), "r")) {
+    char buf[64];
+    if (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha = buf;
+    pclose(pipe);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' ')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
 class JsonLineReporter : public benchmark::ConsoleReporter {
  public:
   JsonLineReporter() {
     const char* path = std::getenv("CALDB_BENCH_JSON");
     if (path != nullptr && path[0] != '\0') json_path_ = path;
+    char where[160];
+    std::snprintf(where, sizeof(where),
+                  "\"nproc\":%u,\"build_type\":\"%s\",\"git_sha\":\"%s\",",
+                  std::thread::hardware_concurrency(), CALDB_BUILD_TYPE,
+                  SourceGitSha().c_str());
+    where_ = where;
+  }
+
+  bool ReportContext(const Context& context) override {
+    // Static set-up before the first rung is nobody's delta.
+    obs::MetricRegistry::Global().ResetAll();
+    return benchmark::ConsoleReporter::ReportContext(context);
   }
 
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -42,11 +79,10 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
                     static_cast<double>(run.iterations);
       char head[256];
       std::snprintf(head, sizeof(head),
-                    "{\"name\":\"%s\",\"iters\":%lld,\"ns_per_op\":%.1f,"
-                    "\"registry\":",
+                    "{\"name\":\"%s\",\"iters\":%lld,\"ns_per_op\":%.1f,",
                     run.benchmark_name().c_str(),
                     static_cast<long long>(run.iterations), ns_per_op);
-      std::string line = std::string(head) +
+      std::string line = std::string(head) + where_ + "\"registry\":" +
                          obs::MetricRegistry::Global().ExportJson() + "}";
       std::printf("BENCH %s\n", line.c_str());
       if (!json_path_.empty()) {
@@ -56,10 +92,13 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
         }
       }
     }
+    // The next rung starts from zero.
+    obs::MetricRegistry::Global().ResetAll();
   }
 
  private:
   std::string json_path_;
+  std::string where_;  // the nproc/build_type/git_sha fields
 };
 
 }  // namespace caldb::bench

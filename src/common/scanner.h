@@ -55,7 +55,9 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;       // identifier spelling / string contents
+  // Identifier spelling / string contents: a view into the scanned
+  // source, valid as long as the source is.
+  std::string_view text;
   int64_t int_value = 0;  // kInt value, kParam index
   double float_value = 0;
   size_t offset = 0;      // [offset, end) is the token's source slice
@@ -67,10 +69,37 @@ struct Token {
 /// Human-readable token-kind name for diagnostics.
 std::string_view TokenKindName(TokenKind kind);
 
-/// Splits `source` into tokens ending with one kEnd.  Identifiers are
+/// Reads `source` one token at a time.  Identifiers are
 /// [A-Za-z_][A-Za-z0-9_]*; integers must fit int64; floats are d+.d+;
 /// placeholders are $1..$1000000; strings are '...' or "..." with no
 /// escapes.  Malformed input is a ParseError, never a crash.
+class Scanner {
+ public:
+  explicit Scanner(std::string_view source) : src_(source) {}
+
+  /// Overwrites `*tok` with the next token: kEnd once the input is
+  /// exhausted, and again on every later call.  False on malformed input,
+  /// with the ParseError in status().  A caller that keeps no token list
+  /// (ShapeStatement builds the statement-cache key this way) allocates
+  /// nothing per token.
+  bool Next(Token* tok);
+  const Status& status() const { return status_; }
+
+ private:
+  bool Fail(std::string message);
+  void CountLines(size_t from, size_t to);
+
+  Status status_;
+  std::string_view src_;
+  size_t i_ = 0;
+  // Lines change only inside whitespace, comments and strings; columns
+  // are computed from the offset where the current line starts.
+  int line_ = 1;
+  size_t line_start_ = 0;
+};
+
+/// Splits `source` into Scanner's tokens, ending with one kEnd.  Their
+/// text views `source`, which must outlive them.
 Result<std::vector<Token>> Scan(std::string_view source);
 
 /// A read position over Scan's tokens: the shared base of the

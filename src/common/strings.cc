@@ -50,11 +50,13 @@ std::string AsciiToUpper(std::string_view s) {
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
+  // ASCII folding, as std::tolower does in the C locale, without a
+  // library call per character: keyword checks run on every statement.
+  auto fold = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  };
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (fold(a[i]) != fold(b[i])) return false;
   }
   return true;
 }

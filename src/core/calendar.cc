@@ -9,12 +9,12 @@ namespace caldb {
 
 namespace {
 
-// Sharing observability (docs/OBSERVABILITY.md): rep_shares counts handle
-// copies / views that reused an existing rep; rep_copies counts fresh reps
-// materialized out of existing calendar data (Nested, unsorted Flattened);
-// cow_rebuilds counts rebuild-on-write of a whole value (TransformLeaves).
+// Sharing observability (docs/OBSERVABILITY.md): rep_copies counts fresh
+// reps materialized out of existing calendar data (Nested, unsorted
+// Flattened); cow_rebuilds counts rebuild-on-write of a whole value
+// (TransformLeaves).  Handle copies and child views share the rep and
+// count nothing.
 struct CalMetrics {
-  obs::Counter* rep_shares = obs::Metrics().counter("caldb.cal.rep_shares");
   obs::Counter* rep_copies = obs::Metrics().counter("caldb.cal.rep_copies");
   obs::Counter* cow_rebuilds =
       obs::Metrics().counter("caldb.cal.cow_rebuilds");
@@ -26,30 +26,6 @@ CalMetrics& Metrics() {
 }
 
 }  // namespace
-
-Calendar::Calendar(const Calendar& other)
-    : rep_(other.rep_),
-      granularity_(other.granularity_),
-      level_(other.level_),
-      begin_(other.begin_),
-      end_(other.end_),
-      leaf_begin_(other.leaf_begin_),
-      leaf_end_(other.leaf_end_) {
-  if (rep_) Metrics().rep_shares->Increment();
-}
-
-Calendar& Calendar::operator=(const Calendar& other) {
-  if (this == &other) return *this;
-  rep_ = other.rep_;
-  granularity_ = other.granularity_;
-  level_ = other.level_;
-  begin_ = other.begin_;
-  end_ = other.end_;
-  leaf_begin_ = other.leaf_begin_;
-  leaf_end_ = other.leaf_end_;
-  if (rep_) Metrics().rep_shares->Increment();
-  return *this;
-}
 
 Calendar Calendar::Root(CalendarRep rep, Granularity g) {
   rep.Finalize();
@@ -159,7 +135,6 @@ Calendar Calendar::child(size_t i) const {
     lb = rep_->offsets[static_cast<size_t>(k)][lb];
     le = rep_->offsets[static_cast<size_t>(k)][le];
   }
-  Metrics().rep_shares->Increment();
   return Calendar(rep_, granularity_, level_ + 1, b, e, lb, le);
 }
 
@@ -207,7 +182,6 @@ Calendar Calendar::Flattened() const {
   if (!rep_ || order() == 1) return *this;
   if (rep_->leaves_sorted) {
     // Order-1 view over the same leaf run — no copy, no sort.
-    Metrics().rep_shares->Increment();
     return Calendar(rep_, granularity_, rep_->order - 1, leaf_begin_,
                     leaf_end_, leaf_begin_, leaf_end_);
   }

@@ -41,9 +41,9 @@ class Calendar {
   /// An empty order-1 calendar of days.
   Calendar() = default;
 
-  // Handle copies share the rep (counted as "caldb.cal.rep_shares").
-  Calendar(const Calendar& other);
-  Calendar& operator=(const Calendar& other);
+  // Handle copies share the rep.
+  Calendar(const Calendar& other) = default;
+  Calendar& operator=(const Calendar& other) = default;
   Calendar(Calendar&&) noexcept = default;
   Calendar& operator=(Calendar&&) noexcept = default;
 

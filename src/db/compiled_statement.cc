@@ -1,8 +1,12 @@
 #include "db/compiled_statement.h"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 
 #include "common/macros.h"
+#include "common/scanner.h"
+#include "common/strings.h"
 #include "obs/obs.h"
 
 namespace caldb {
@@ -221,39 +225,117 @@ std::string_view ParamTypeName(ValueType t) {
 
 }  // namespace
 
-std::string NormalizeStatementText(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  char quote = '\0';
-  bool pending_space = false;
-  for (char c : text) {
-    if (quote != '\0') {
-      out.push_back(c);
-      if (c == quote) quote = '\0';
-      continue;
+StatementShape ShapeStatement(std::string_view text, bool lift_literals,
+                              std::vector<Token>* tokens) {
+  StatementShape shape;
+  if (tokens != nullptr) tokens->clear();
+  shape.key.reserve(text.size());
+  // Where the statement stands for lifting, token by token: the verb
+  // decides; a retrieve's target list runs from its '(' to the matching
+  // ')', and its literals name result columns.
+  enum class Where { kNever, kVerb, kTargetListOpen, kTargetList, kLift };
+  Where where = lift_literals ? Where::kVerb : Where::kNever;
+  int depth = 0;
+  TokenKind prev = TokenKind::kEnd;
+  // The key copies the text in runs: a run ends where the whitespace
+  // between two tokens is not already one space, and at each lifted
+  // literal.
+  size_t run = std::string_view::npos;
+  size_t prev_end = 0;
+  Scanner scanner(text);
+  Token tok;
+  while (true) {
+    if (!scanner.Next(&tok)) {
+      // Text that does not scan keys as itself: compiling it reports the
+      // scanner's error.
+      if (tokens != nullptr) tokens->clear();
+      return StatementShape{std::string(text), {}};
     }
-    if (c == '\'' || c == '"') {
-      if (pending_space && !out.empty()) out.push_back(' ');
-      pending_space = false;
-      out.push_back(c);
-      quote = c;
-      continue;
+    if (tok.kind == TokenKind::kEnd) break;
+    if (tok.kind == TokenKind::kParam && lift_literals) {
+      // A text with its own placeholders binds its own values.
+      if (!shape.values.empty()) return ShapeStatement(text, false, tokens);
+      where = Where::kNever;
     }
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' ||
-        c == '\v') {
-      pending_space = true;
-      continue;
+    switch (where) {
+      case Where::kVerb:
+        where = Where::kNever;
+        if (tok.kind != TokenKind::kIdent) break;
+        if (EqualsIgnoreCase(tok.text, "retrieve")) {
+          where = Where::kTargetListOpen;
+        } else if (EqualsIgnoreCase(tok.text, "append") ||
+                   EqualsIgnoreCase(tok.text, "replace") ||
+                   EqualsIgnoreCase(tok.text, "delete")) {
+          where = Where::kLift;
+        }
+        break;
+      case Where::kTargetListOpen:
+        where = tok.kind == TokenKind::kLParen ? Where::kTargetList
+                                               : Where::kNever;
+        depth = 1;
+        break;
+      case Where::kTargetList:
+        if (tok.kind == TokenKind::kLParen) ++depth;
+        if (tok.kind == TokenKind::kRParen && --depth == 0) {
+          where = Where::kLift;
+        }
+        break;
+      case Where::kNever:
+      case Where::kLift:
+        break;
     }
-    if (pending_space && !out.empty()) out.push_back(' ');
-    pending_space = false;
-    out.push_back(c);
+    // Only whitespace can sit between two tokens.
+    const size_t gap = tok.offset - prev_end;
+    if (run == std::string_view::npos) {
+      run = tok.offset;
+    } else if (gap > 1 || (gap == 1 && text[prev_end] != ' ')) {
+      shape.key.append(text.data() + run, prev_end - run);
+      shape.key.push_back(' ');
+      run = tok.offset;
+    }
+    prev_end = tok.end;
+    const bool literal = tok.kind == TokenKind::kInt ||
+                         tok.kind == TokenKind::kFloat ||
+                         tok.kind == TokenKind::kString;
+    if (literal && where == Where::kLift && prev != TokenKind::kMinus) {
+      shape.values.push_back(tok.kind == TokenKind::kInt
+                                 ? Value::Int(tok.int_value)
+                             : tok.kind == TokenKind::kFloat
+                                 ? Value::Float(tok.float_value)
+                                 : Value::Text(std::string(tok.text)));
+      shape.key.append(text.data() + run, tok.offset - run);
+      char slot[12] = {'$'};
+      const size_t n = shape.values.size();
+      shape.key.append(slot, std::to_chars(slot + 1, std::end(slot), n).ptr);
+      run = tok.end;
+      // The parser reads the slot where the literal stood: its errors
+      // still quote the text as written.
+      tok.kind = TokenKind::kParam;
+      tok.int_value = static_cast<int64_t>(shape.values.size());
+      tok.text = {};
+    }
+    prev = tok.kind;
+    if (tokens != nullptr) tokens->push_back(tok);
   }
-  return out;
+  if (run != std::string_view::npos) {
+    shape.key.append(text.data() + run, prev_end - run);
+  }
+  if (tokens != nullptr) tokens->push_back(tok);
+  return shape;
 }
 
-Result<CompiledStatementPtr> CompileStatement(std::string_view text) {
+std::string NormalizeStatementText(std::string_view text) {
+  return ShapeStatement(text, /*lift_literals=*/false).key;
+}
+
+Result<CompiledStatementPtr> CompileStatement(std::string_view text,
+                                              bool lift_literals) {
   const int64_t t0 = obs::Enabled() ? obs::NowNs() : 0;
-  CALDB_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(text));
+  std::vector<Token> tokens;
+  std::string source(text);
+  if (lift_literals) source = ShapeStatement(text, true, &tokens).key;
+  CALDB_ASSIGN_OR_RETURN(Statement stmt,
+                         ParseStatement(text, std::move(tokens)));
   const int64_t parse_ns = t0 != 0 ? obs::NowNs() - t0 : 0;
   // Placeholder numbering must be contiguous from $1: a gap is almost
   // always a typo, and silently accepting `$1, $3` would make arity
@@ -275,7 +357,7 @@ Result<CompiledStatementPtr> CompileStatement(std::string_view text) {
         "placeholders are not allowed in a rule's where clause: rule "
         "conditions are evaluated at event time with no bind list");
   }
-  return CompileParsedStatement(std::move(stmt), std::string(text), parse_ns);
+  return CompileParsedStatement(std::move(stmt), std::move(source), parse_ns);
 }
 
 CompiledStatementPtr CompileParsedStatement(Statement stmt, std::string text,
@@ -283,7 +365,6 @@ CompiledStatementPtr CompileParsedStatement(Statement stmt, std::string text,
   auto compiled = std::make_shared<CompiledStatement>();
   compiled->stmt = std::make_shared<const Statement>(std::move(stmt));
   compiled->text = std::move(text);
-  compiled->normalized = NormalizeStatementText(compiled->text);
   compiled->parse_ns = parse_ns;
   ComputeMetadata(*compiled->stmt, compiled.get());
   ParamSig sig;

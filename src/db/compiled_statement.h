@@ -10,13 +10,17 @@
 //     from precomputed data instead of text sniffing;
 //   - the referenced tables, so the Engine's StatementCache can invalidate
 //     exactly the entries a DDL statement could affect;
-//   - whitespace-normalized text (quote-aware), the cache key under which
-//     equivalent spellings of one statement share a single compilation;
+//   - the parameter signature the bind step checks;
 //   - the measured parse cost, surfaced by benches and EXPLAIN tooling.
+//
+// ShapeStatement computes the cache key: one scan yields the
+// whitespace-normalized text and, for DML, lifts literals into implicit
+// $n slots, so every spelling of one statement shape shares a single
+// compilation and binds its own values.
 //
 // Handles are deeply immutable (`shared_ptr<const ...>`): any number of
 // sessions, the DBCRON thread and recovery may execute one concurrently.
-// Pipeline: text → compile → cache → execute (see DESIGN.md §5).
+// Pipeline: text → lift → cache → bind → execute (see DESIGN.md §5).
 
 #ifndef CALDB_DB_COMPILED_STATEMENT_H_
 #define CALDB_DB_COMPILED_STATEMENT_H_
@@ -26,6 +30,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/scanner.h"
 #include "db/query.h"
 
 namespace caldb {
@@ -44,12 +49,10 @@ struct CompiledStatement {
 
   /// The parsed statement.  Shared and never mutated after compilation.
   std::shared_ptr<const Statement> stmt;
-  /// The original source text, exactly as compiled (WAL redo records and
-  /// slow-statement log lines carry this, so replay is byte-identical).
+  /// The source text, exactly as compiled: a lifted shape's text for a
+  /// statement whose literals were lifted (ShapeStatement).  WAL redo
+  /// records carry this, so replay recompiles the same shape.
   std::string text;
-  /// Whitespace-normalized text (NormalizeStatementText) — the statement
-  /// cache key, so "retrieve  (x.v)" and "retrieve (x.v)" share an entry.
-  std::string normalized;
   WriteClass write_class = WriteClass::kWrite;
   /// Tables the statement references (targets, range variables, rule
   /// tables), deduplicated.  DDL invalidation matches against this list.
@@ -85,8 +88,12 @@ using CompiledStatementPtr = std::shared_ptr<const CompiledStatement>;
 using ParamList = std::vector<Value>;
 
 /// Parses `text` once and precomputes the metadata above.  The returned
-/// handle is immutable and safe to share across threads.
-Result<CompiledStatementPtr> CompileStatement(std::string_view text);
+/// handle is immutable and safe to share across threads.  With
+/// `lift_literals` it compiles the text's lifted shape (ShapeStatement):
+/// the parser reads each lifted literal as its $n slot, so a parse error
+/// quotes the text as written, and the handle's `text` is the shape.
+Result<CompiledStatementPtr> CompileStatement(std::string_view text,
+                                              bool lift_literals = false);
 
 /// Wraps an already parsed statement (used by the explain pipeline and by
 /// callers that build ASTs programmatically).  `text` should be the
@@ -94,11 +101,34 @@ Result<CompiledStatementPtr> CompileStatement(std::string_view text);
 CompiledStatementPtr CompileParsedStatement(Statement stmt, std::string text,
                                             int64_t parse_ns = 0);
 
-/// Collapses whitespace runs outside quoted literals to single spaces and
-/// trims the ends.  Quote-aware: text inside '...' / "..." is preserved
-/// byte for byte, so normalization never changes statement meaning.
-/// Placeholders normalize like any other token, so "where a.id = $1" is
-/// one cache entry no matter what values are later bound to it.
+/// A statement's statement-cache key, and the literals lifted out of it.
+struct StatementShape {
+  /// The whitespace-normalized text, with each lifted literal spelled as
+  /// its implicit placeholder: "... where a.id = $1".
+  std::string key;
+  /// The lifted literals in text order; values[i] binds $i+1.  Empty when
+  /// nothing was lifted, and then `key` is the normalized text.
+  ParamList values;
+};
+
+/// One scan of `text`: joins its tokens with single spaces where the text
+/// had whitespace (string literals stay byte for byte), and with
+/// `lift_literals` replaces literals by $1, $2, ... in text order.  A
+/// literal's value is the scanner's, so it is exactly what the parser
+/// would read in place.  Only retrieve/append/replace/delete texts with no
+/// explicit placeholder are lifted, and never a literal in a retrieve's
+/// target list (it names a result column) or right after '-' (so `-5`
+/// still folds to a constant).  Text that does not scan keys as itself:
+/// compiling it reports the scanner's error.  `tokens`, when given,
+/// receives the text's tokens with each lifted literal turned into its
+/// slot (source offsets kept), or nothing when the text does not scan.
+StatementShape ShapeStatement(std::string_view text, bool lift_literals,
+                              std::vector<Token>* tokens = nullptr);
+
+/// ShapeStatement's key without lifting: whitespace runs between tokens
+/// collapse to one space, the ends are trimmed, string literals keep their
+/// contents.  Placeholders normalize like any other token, so "where a.id
+/// = $1" is one cache entry no matter what values are later bound to it.
 std::string NormalizeStatementText(std::string_view text);
 
 /// The bind step: the one place a bind list is checked against a compiled

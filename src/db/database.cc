@@ -155,7 +155,8 @@ Result<CompiledStatementPtr> Database::Prepare(std::string_view query) {
 }
 
 Result<QueryResult> Database::Run(const CompiledStatement& compiled,
-                                  const EvalScope& bound, RunMode mode) {
+                                  const EvalScope& bound, RunMode mode,
+                                  std::string_view text) {
   if (mode == RunMode::kReplay) return Dispatch(*compiled.stmt, &bound);
   Metrics().statements->Increment();
   if (!obs::Enabled()) return Dispatch(*compiled.stmt, &bound);
@@ -170,7 +171,7 @@ Result<QueryResult> Database::Run(const CompiledStatement& compiled,
   if (threshold_ns > 0 && elapsed_ns >= threshold_ns) {
     Metrics().slow_statements->Increment();
     obs::LogEvent(obs::LogLevel::kWarn, "db.slow_statement",
-                  {{"stmt", compiled.text},
+                  {{"stmt", text.empty() ? compiled.text : text},
                    {"elapsed_ms", static_cast<double>(elapsed_ns) / 1e6},
                    {"threshold_ms", static_cast<double>(threshold_ns) / 1e6},
                    {"ok", result.ok()}});

@@ -97,11 +97,13 @@ class Database {
   /// which the caller runs first (the Engine before taking any lock), and
   /// may carry extra tuple bindings (NEW / CURRENT) for rule actions.
   /// Records caldb.db.statements, caldb.db.statement_ns, the db.execute
-  /// span and the slow-statement log; repeated runs of one handle never
-  /// touch the parser.
+  /// span and the slow-statement log, which names `text` (the statement as
+  /// its sender wrote it; empty: compiled.text); repeated runs of one
+  /// handle never touch the parser.
   Result<QueryResult> Run(const CompiledStatement& compiled,
                           const EvalScope& bound,
-                          RunMode mode = RunMode::kStatement);
+                          RunMode mode = RunMode::kStatement,
+                          std::string_view text = {});
 
   /// Statements slower than this are logged ("db.slow_statement", warn)
   /// and counted in caldb.db.slow_statements.  Process-wide; initialized

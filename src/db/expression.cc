@@ -1,6 +1,7 @@
 #include "db/expression.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -125,17 +126,34 @@ Result<Value> EvalDbExpr(const DbExpr& expr, const EvalScope& scope) {
       if (both_int) {
         CALDB_ASSIGN_OR_RETURN(int64_t x, a.AsInt());
         CALDB_ASSIGN_OR_RETURN(int64_t y, b.AsInt());
+        // Checked: a result past int64 is an error, not undefined
+        // behaviour.
+        int64_t r = 0;
+        bool overflow = false;
         switch (expr.arith) {
           case '+':
-            return Value::Int(x + y);
+            overflow = __builtin_add_overflow(x, y, &r);
+            break;
           case '-':
-            return Value::Int(x - y);
+            overflow = __builtin_sub_overflow(x, y, &r);
+            break;
           case '*':
-            return Value::Int(x * y);
+            overflow = __builtin_mul_overflow(x, y, &r);
+            break;
           case '/':
             if (y == 0) return Status::EvalError("division by zero");
-            return Value::Int(x / y);
+            overflow = x == INT64_MIN && y == -1;
+            if (!overflow) r = x / y;
+            break;
+          default:
+            return Status::Internal("unhandled arithmetic operator");
         }
+        if (overflow) {
+          return Status::EvalError("integer overflow: " + std::to_string(x) +
+                                   " " + expr.arith + " " +
+                                   std::to_string(y));
+        }
+        return Value::Int(r);
       }
       CALDB_ASSIGN_OR_RETURN(double x, a.AsFloat());
       CALDB_ASSIGN_OR_RETURN(double y, b.AsFloat());

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/scanner.h"
 #include "db/expression.h"
 #include "db/schema.h"
 
@@ -116,8 +117,11 @@ using Statement =
                  CreateTableStmt, CreateIndexStmt, DefineRuleStmt, DropRuleStmt,
                  DropTableStmt, ExplainStmt>;
 
-/// Parses one statement.
-Result<Statement> ParseStatement(std::string_view query);
+/// Parses one statement.  `tokens` are `query`'s own when the caller has
+/// scanned it already (CompileStatement hands over a lifted shape's);
+/// empty means scan here.
+Result<Statement> ParseStatement(std::string_view query,
+                                 std::vector<Token> tokens = {});
 
 /// Parses a standalone expression (used by rule conditions and tests).
 Result<DbExprPtr> ParseDbExpression(std::string_view text);

@@ -93,7 +93,7 @@ class QueryParser : private TokenCursor {
   }
   Result<std::string> ExpectIdent(std::string_view what) {
     if (!Check(TokenKind::kIdent)) return Fail(what);
-    return Advance().text;
+    return std::string(Advance().text);
   }
 
   // --- statements -----------------------------------------------------------
@@ -390,7 +390,7 @@ class QueryParser : private TokenCursor {
         return node;
       case TokenKind::kString:
         node->kind = DbExpr::Kind::kConst;
-        node->constant = Value::Text(Advance().text);
+        node->constant = Value::Text(std::string(Advance().text));
         return node;
       case TokenKind::kParam:
         node->kind = DbExpr::Kind::kParam;
@@ -412,7 +412,7 @@ class QueryParser : private TokenCursor {
           node->constant = Value::Null();
           return node;
         }
-        std::string name = Advance().text;
+        std::string name(Advance().text);
         if (Match(TokenKind::kLParen)) {
           node->kind = DbExpr::Kind::kCall;
           node->fn_name = std::move(name);
@@ -475,12 +475,15 @@ class QueryParser : private TokenCursor {
 
 }  // namespace
 
-Result<Statement> ParseStatement(std::string_view query) {
+Result<Statement> ParseStatement(std::string_view query,
+                                 std::vector<Token> tokens) {
   // The parse-once contract is pinned by this counter: tests assert its
   // delta stays flat while cached statements re-execute.
   static obs::Counter* parses = obs::Metrics().counter("caldb.db.parses");
   parses->Increment();
-  CALDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Scan(query));
+  if (tokens.empty()) {
+    CALDB_ASSIGN_OR_RETURN(tokens, Scan(query));
+  }
   // `explain <stmt>` / `profile <stmt>`: strip the verb and compile the
   // tail exactly once — plan rendering and the PROFILE run share the
   // handle (see ExplainStmt).

@@ -84,6 +84,19 @@ Result<std::optional<Interval>> ParseLifespanField(std::string_view text) {
   return std::optional<Interval>(interval);
 }
 
+// Whether a lifted shape takes its literals exactly as the parser would
+// read them in place: one slot per literal, and no slot typed by a
+// constant across an operator (`$1 * -3`, `-($1)`, `$1 = true`), where a
+// literal of another type would fail the bind check instead of
+// evaluating as written.  Any other slot binds any value, so the bind
+// step cannot reject the literals.
+bool TakesLiteralsAsWritten(const CompiledStatement& shape,
+                            const ParamList& literals) {
+  return static_cast<size_t>(shape.param_count) == literals.size() &&
+         std::all_of(shape.param_types.begin(), shape.param_types.end(),
+                     [](ValueType t) { return t == ValueType::kNull; });
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions opts)
@@ -346,8 +359,10 @@ void Engine::ReleaseSession() {
 }
 
 Result<QueryResult> Engine::Execute(const std::string& statement) {
-  CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled, Prepare(statement));
-  return Run(*compiled, nullptr);
+  ParamList lifted;
+  CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
+                         Prepare(statement, &lifted));
+  return Run(*compiled, lifted.empty() ? nullptr : &lifted, statement);
 }
 
 Status Engine::LogDurable(storage::WalRecord record) {
@@ -450,8 +465,23 @@ Status Engine::DropCalendar(const std::string& name) {
   }
 }
 
-Result<CompiledStatementPtr> Engine::Prepare(const std::string& statement) {
+Result<CompiledStatementPtr> Engine::Prepare(const std::string& statement,
+                                             ParamList* lifted) {
   try {
+    if (lifted == nullptr) return stmt_cache_.GetOrCompile(statement);
+    StatementShape shape = ShapeStatement(statement, /*lift_literals=*/true);
+    if (shape.values.empty()) {
+      return stmt_cache_.GetOrCompile(shape.key, statement);
+    }
+    // A shape that does not parse fails with the text's own error: the
+    // parser read the text's tokens (CompileStatement with lifting).
+    Result<CompiledStatementPtr> compiled = stmt_cache_.GetOrCompile(
+        shape.key, statement, /*lift_literals=*/true);
+    if (!compiled.ok() || TakesLiteralsAsWritten(**compiled, shape.values)) {
+      if (compiled.ok()) *lifted = std::move(shape.values);
+      return compiled;
+    }
+    // The shape would bind differently: compile the text as written.
     return stmt_cache_.GetOrCompile(statement);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("uncaught exception in Prepare: ") +
@@ -462,11 +492,13 @@ Result<CompiledStatementPtr> Engine::Prepare(const std::string& statement) {
 }
 
 Result<QueryResult> Engine::Run(const CompiledStatement& compiled,
-                                const ParamList* params) {
+                                const ParamList* params,
+                                std::string_view text) {
   // The facade's no-throw contract (common/result.h): a defect below this
   // frame surfaces as kInternal, never as an exception crossing the API.
   try {
-    Result<QueryResult> result = RunImpl(compiled, params);
+    Result<QueryResult> result =
+        RunImpl(compiled, params, text.empty() ? compiled.text : text);
     MaybeCheckpoint();
     return result;
   } catch (const std::exception& e) {
@@ -478,7 +510,8 @@ Result<QueryResult> Engine::Run(const CompiledStatement& compiled,
 }
 
 Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
-                                    const ParamList* params) {
+                                    const ParamList* params,
+                                    std::string_view text) {
   // The bind step runs before any lock or WAL traffic: a bad arity or
   // type never reaches execution, and an unbound placeholder is an error
   // here rather than deep inside evaluation.  The bound scope reads
@@ -488,9 +521,10 @@ Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
   obs::Tracer::Span span = obs::StartSpan("engine.execute");
   // Stamp the statement into the thread's LogContext (keeping whatever
   // session a Session installed a frame up) so slow-statement log lines
-  // and event-rule audit records name what the user ran.
+  // and event-rule audit records name what the user ran — the text as
+  // written, not a lifted shape.
   obs::LogContext log_ctx = obs::CurrentLogContext();
-  log_ctx.statement = compiled.text;
+  log_ctx.statement.assign(text);
   obs::ScopedLogContext log_scope{std::move(log_ctx)};
   // HasRetrieveRules / HasEventRules are atomic reads, so classification
   // needs no lock; rules armed between classification and acquisition are
@@ -516,7 +550,7 @@ Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
     LockManager::Guard lock =
         per_table ? lock_mgr_.AcquireTables(compiled.tables, false)
                   : lock_mgr_.AcquireGlobalExclusive();
-    return db_.Run(compiled, bound);
+    return db_.Run(compiled, bound, Database::RunMode::kStatement, text);
   }
   span.AddAttr("lock", per_table ? "table-write" : "write");
   const bool bound_values = params != nullptr && !params->empty();
@@ -536,13 +570,15 @@ Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
     LockManager::Guard lock =
         per_table ? lock_mgr_.AcquireTables(compiled.tables, true)
                   : lock_mgr_.AcquireGlobalExclusive();
-    Result<QueryResult> r = db_.Run(compiled, bound);
+    Result<QueryResult> r =
+        db_.Run(compiled, bound, Database::RunMode::kStatement, text);
     // Redo-log the statement whatever its outcome: a failing statement
     // may have applied partial effects, and replaying it fails
     // identically — deterministic either way.  (Not reached for parse or
-    // bind errors.)  A bound execution logs kParamStatement (text +
-    // encoded values); recovery recompiles the shape once and replays
-    // each record's own bind list.
+    // bind errors.)  A bound execution — a prepared handle's, or literal
+    // text lifted into a shape — logs kParamStatement (the compiled text +
+    // encoded values); recovery recompiles the shape once and replays each
+    // record's own bind list.
     storage::WalRecord redo;
     redo.type = bound_values ? storage::WalRecordType::kParamStatement
                              : storage::WalRecordType::kStatement;

@@ -49,6 +49,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -143,10 +144,13 @@ class Engine {
 
   // --- statements -----------------------------------------------------------
 
-  /// Compiles one database statement through the shared StatementCache
-  /// and runs it with no bind list (see Run).  Prepared, bound execution
-  /// goes through Session::Prepare and PreparedStatement::Execute.  Never
-  /// throws; never lets a callee's exception escape.
+  /// Runs one database statement through the shared StatementCache.  The
+  /// literals of a retrieve/append/replace/delete are lifted into $n slots
+  /// first (ShapeStatement, db/compiled_statement.h): every spelling of
+  /// one shape shares a cache entry and runs with its own literals as the
+  /// bind list (see Run).  Prepared execution goes through
+  /// Session::Prepare and PreparedStatement::Execute.  Never throws; never
+  /// lets a callee's exception escape.
   Result<QueryResult> Execute(const std::string& statement);
 
   /// Point-in-time accounting of the shared statement cache.
@@ -274,19 +278,24 @@ class Engine {
 
   /// Compiles `statement` through the shared StatementCache: preparing
   /// the same (whitespace-normalized) text twice returns the same handle
-  /// without re-parsing.  Never throws.
-  Result<CompiledStatementPtr> Prepare(const std::string& statement);
+  /// without re-parsing.  With `lifted`, the statement's literals are
+  /// lifted first when its shape takes them as written: the handle is the
+  /// shape's and `*lifted` receives the literals, its bind list (left
+  /// empty when the text compiles as written).  Never throws.
+  Result<CompiledStatementPtr> Prepare(const std::string& statement,
+                                       ParamList* lifted = nullptr);
 
   /// The one statement path (Execute, Session::Prepare'd handles): binds
   /// `params` (nullable) to the handle's $n placeholders before any lock
   /// or WAL traffic, classifies the lock from the compiled metadata, runs
   /// Database::Run under it, WAL-logs writes (a bound execution as one
   /// kParamStatement record), and invalidates the statement cache after
-  /// DDL.  Never throws.
+  /// DDL.  `text` is the statement as its sender wrote it, which log lines
+  /// and audit records name (empty: compiled.text).  Never throws.
   Result<QueryResult> Run(const CompiledStatement& compiled,
-                          const ParamList* params);
+                          const ParamList* params, std::string_view text = {});
   Result<QueryResult> RunImpl(const CompiledStatement& compiled,
-                              const ParamList* params);
+                              const ParamList* params, std::string_view text);
   void CronLoop();
 
   // --- durability internals -------------------------------------------------

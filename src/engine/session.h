@@ -85,8 +85,8 @@ class PreparedStatement {
   /// Human-readable parameter signature, e.g. "($1:int, $2:any)".
   std::string signature() const;
 
-  /// The statement text this handle was compiled from (as written;
-  /// compiled()->normalized holds the cache-key spelling).
+  /// The statement text this handle was compiled from (as written by
+  /// whoever first compiled its cache entry).
   const std::string& text() const;
 
   /// The shared compiled handle (null when invalid).

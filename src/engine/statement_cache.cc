@@ -31,18 +31,27 @@ StatementCache::StatementCache(size_t max_entries)
   stats_.capacity = max_entries;
 }
 
+CompiledStatementPtr StatementCache::Find(const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return nullptr;
+  ++stats_.hits;
+  Metrics().hits->Increment();
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  return it->second.compiled;
+}
+
 Result<CompiledStatementPtr> StatementCache::GetOrCompile(
     const std::string& text) {
-  std::string key = NormalizeStatementText(text);
+  if (CompiledStatementPtr hit = Find(text)) return hit;
+  return GetOrCompile(NormalizeStatementText(text), text);
+}
+
+Result<CompiledStatementPtr> StatementCache::GetOrCompile(
+    const std::string& key, std::string_view source, bool lift_literals) {
+  if (CompiledStatementPtr hit = Find(key)) return hit;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      Metrics().hits->Increment();
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.compiled;
-    }
     ++stats_.misses;
     Metrics().misses->Increment();
   }
@@ -50,7 +59,7 @@ Result<CompiledStatementPtr> StatementCache::GetOrCompile(
   // Compile outside the lock: a slow parse must not serialize the
   // sessions that are hitting.  Errors are returned, never cached.
   CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
-                         CompileStatement(text));
+                         CompileStatement(source, lift_literals));
   if (max_entries_ == 0) return compiled;
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -62,7 +71,7 @@ Result<CompiledStatementPtr> StatementCache::GetOrCompile(
     return it->second.compiled;
   }
   lru_.push_front(key);
-  entries_.emplace(std::move(key), Entry{compiled, lru_.begin()});
+  entries_.emplace(key, Entry{compiled, lru_.begin()});
   while (entries_.size() > max_entries_) {
     auto victim = entries_.find(lru_.back());
     EraseLocked(victim);

@@ -5,9 +5,11 @@
 // text on every tick, event rules re-run one command per matching append,
 // recovery replays thousands of identical statement shapes, and clients
 // hammer the same retrieves.  The cache memoizes CompileStatement per
-// whitespace-normalized statement text, so each distinct shape pays the
-// parser exactly once and every later execution is a hash lookup
-// returning a shared immutable handle.
+// statement shape (ShapeStatement's key: the whitespace-normalized text,
+// with the literals of literal DML lifted into $n slots by
+// Engine::Execute), so each distinct shape pays the parser exactly once
+// and every later execution is a hash lookup returning a shared immutable
+// handle.
 //
 // Invalidation: compiled ASTs resolve tables at execution time, so a
 // cached handle can never dangle into a dropped schema — but its
@@ -32,6 +34,7 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -49,10 +52,19 @@ class StatementCache {
   StatementCache(const StatementCache&) = delete;
   StatementCache& operator=(const StatementCache&) = delete;
 
-  /// The pipeline entry point: returns the cached handle for `text`
-  /// (keyed by normalized text), compiling and inserting on a miss.
-  /// Parse errors are NOT cached — a later identical call re-parses, so a
-  /// typo fixed by a schema change (or just retried) is not pinned.
+  /// The pipeline entry point: returns the handle cached under `key`,
+  /// compiling `source` (CompileStatement, lifting its literals when
+  /// asked) and inserting it on a miss.  Parse errors are NOT cached — a
+  /// later identical call re-parses, so a typo fixed by a schema change
+  /// (or just retried) is not pinned.
+  Result<CompiledStatementPtr> GetOrCompile(const std::string& key,
+                                            std::string_view source,
+                                            bool lift_literals = false);
+
+  /// The same, keyed by NormalizeStatementText(text).  Normalization is
+  /// idempotent, so a text already in normal form is its own key: it is
+  /// probed first, which spares callers that resend one spelling (a
+  /// prepare by text per execution) the normalizing scan.
   Result<CompiledStatementPtr> GetOrCompile(const std::string& text);
 
   /// Drops every entry whose referenced-table list intersects `tables`;
@@ -89,6 +101,10 @@ class StatementCache {
     CompiledStatementPtr compiled;
     std::list<std::string>::iterator lru_it;  // position in lru_ (MRU front)
   };
+
+  // The entry under `key`, counted as a hit and moved to the MRU front;
+  // null (and nothing counted) when absent.
+  CompiledStatementPtr Find(const std::string& key);
 
   // Caller holds mu_.  Removes `it` from both structures.
   void EraseLocked(std::unordered_map<std::string, Entry>::iterator it);

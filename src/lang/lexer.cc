@@ -40,7 +40,7 @@ Result<std::vector<Token>> Lex(std::string_view source) {
       }
       if (last > i) {
         tok.end = tokens[last].end;
-        tok.text.assign(source.substr(tok.offset, tok.end - tok.offset));
+        tok.text = source.substr(tok.offset, tok.end - tok.offset);
         i = last;
       } else {
         tok.kind = KeywordKind(tok.text);

@@ -19,6 +19,7 @@ namespace caldb {
 ///    set-difference operator must be written with surrounding whitespace
 ///    (a - b), as the paper's scripts do;
 ///  - if, else, while and return are keywords.
+/// Token text views `source`, as Scan's does.
 Result<std::vector<Token>> Lex(std::string_view source);
 
 }  // namespace caldb

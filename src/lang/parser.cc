@@ -35,9 +35,10 @@ class Parser : private TokenCursor {
  private:
   Status Unexpected(std::string_view wanted) const {
     const Token& t = Peek();
+    const std::string spelling =
+        t.kind == TokenKind::kIdent ? " '" + std::string(t.text) + "'" : "";
     return Status::ParseError("expected " + std::string(wanted) + " but found " +
-                              std::string(TokenKindName(t.kind)) +
-                              (t.kind == TokenKind::kIdent ? " '" + t.text + "'" : "") +
+                              std::string(TokenKindName(t.kind)) + spelling +
                               " at line " + std::to_string(t.line) + ", column " +
                               std::to_string(t.column));
   }
@@ -245,7 +246,8 @@ class Parser : private TokenCursor {
         Advance();
         return op;
       }
-      return Status::ParseError("unknown listop '" + t.text + "' at line " +
+      return Status::ParseError("unknown listop '" + std::string(t.text) +
+                                "' at line " +
                                 std::to_string(t.line));
     }
     return Unexpected("listop (overlaps/during/meets/</<=/intersects)");
@@ -308,7 +310,7 @@ class Parser : private TokenCursor {
     if (t.kind != TokenKind::kIdent) {
       return Unexpected("calendar expression");
     }
-    std::string name = Advance().text;
+    std::string name(Advance().text);
     if (Check(TokenKind::kLParen)) {
       return ParseCall(std::move(name), t.line);
     }

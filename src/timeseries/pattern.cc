@@ -184,7 +184,8 @@ class PatternParser : private TokenCursor {
         node->lhs = std::move(inner);
         return node;
       }
-      return Status::ParseError("unknown pattern identifier '" + t.text + "'");
+      return Status::ParseError("unknown pattern identifier '" +
+                                std::string(t.text) + "'");
     }
     return Status::ParseError("expected a pattern term");
   }

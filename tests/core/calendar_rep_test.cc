@@ -144,16 +144,20 @@ TEST(CalendarRepTest, ChildViewsInheritHandleGranularity) {
   EXPECT_EQ(c.Flattened().granularity(), Granularity::kWeeks);
 }
 
-TEST(CalendarRepTest, CopyCountsAsShareNotCopy) {
+TEST(CalendarRepTest, CopySharesRepNotCopies) {
   Calendar c = DeepCalendar();
-  obs::Counter* shares = obs::Metrics().counter("caldb.cal.rep_shares");
   obs::Counter* copies = obs::Metrics().counter("caldb.cal.rep_copies");
-  const int64_t shares_before = shares->value();
   const int64_t copies_before = copies->value();
   Calendar copy = c;
   Calendar assigned;
   assigned = c;
-  EXPECT_EQ(shares->value(), shares_before + 2);
+  // Both handles view the very leaf buffer of the original rep.
+  EXPECT_EQ(copy.Leaves().data(), c.Leaves().data());
+  EXPECT_EQ(assigned.Leaves().data(), c.Leaves().data());
+  EXPECT_EQ(copy.child(0).child(1).Leaves().data(),
+            c.child(0).child(1).Leaves().data());
+  EXPECT_TRUE(copy == c);
+  EXPECT_TRUE(assigned == c);
   EXPECT_EQ(copies->value(), copies_before);
 }
 

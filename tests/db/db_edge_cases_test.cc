@@ -2,6 +2,8 @@
 // of mixed types, interval columns, replace/delete through indexes, and
 // rule interactions.
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "db/database.h"
@@ -134,6 +136,25 @@ TEST_F(DbEdgeCases, UnknownColumnInSetList) {
   Exec("create table t (x int)");
   EXPECT_FALSE(db_.Execute("append t (nope = 1)").ok());
   EXPECT_FALSE(db_.Execute("replace v in t (nope = 1)").ok());
+}
+
+TEST_F(DbEdgeCases, IntegerArithmeticOverflowIsAnError) {
+  Exec("create table t (x int)");
+  Exec("append t (x = 9223372036854775807)");
+  for (const char* expr : {"t0.x + 1", "0 - t0.x - 2", "t0.x * 2",
+                           "(0 - t0.x - 1) / -1"}) {
+    auto r = db_.Execute(std::string("retrieve (") + expr + ") from t0 in t");
+    ASSERT_FALSE(r.ok()) << expr;
+    EXPECT_EQ(r.status().code(), StatusCode::kEvalError) << expr;
+    EXPECT_NE(r.status().message().find("integer overflow"),
+              std::string::npos)
+        << r.status();
+  }
+  // In range, the same operators stay exact.
+  QueryResult r = Query("retrieve (t0.x - 1 + 1, t0.x / -1) from t0 in t");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt().value(), INT64_MAX);
+  EXPECT_EQ(r.rows[0][1].AsInt().value(), -INT64_MAX);
 }
 
 TEST_F(DbEdgeCases, EmptyTableQueries) {

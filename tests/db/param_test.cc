@@ -83,7 +83,7 @@ TEST(ParamCompile, DollarInsideStringLiteralIsNotAPlaceholder) {
   EXPECT_EQ(RenderParamSignature(**c), "()");
   // And the literal survives normalization untouched (the cache key keeps
   // string contents verbatim).
-  EXPECT_NE((*c)->normalized.find("'costs $1 per day'"), std::string::npos);
+  EXPECT_NE(NormalizeStatementText((*c)->text).find("'costs $1 per day'"), std::string::npos);
 }
 
 TEST(ParamCompile, NormalizationKeepsPlaceholdersDistinct) {

@@ -47,7 +47,8 @@ TEST(CompileStatement, RetrieveMetadata) {
   ASSERT_EQ((*c)->tables.size(), 1u);
   EXPECT_EQ((*c)->tables[0], "alerts");
   EXPECT_EQ((*c)->text, "retrieve (w.x) from w in alerts");
-  EXPECT_EQ((*c)->normalized, "retrieve (w.x) from w in alerts");
+  EXPECT_EQ(NormalizeStatementText((*c)->text),
+            "retrieve (w.x) from w in alerts");
   ASSERT_NE((*c)->stmt, nullptr);
   EXPECT_TRUE(std::holds_alternative<RetrieveStmt>(*(*c)->stmt));
 }

@@ -343,6 +343,64 @@ TEST(EngineConcurrencyTest, StatementCacheSharingRacesInvalidation) {
   EXPECT_TRUE(engine->Stop().ok());
 }
 
+// Sessions executing distinct literal texts of one shape at once: every
+// text lifts into the same cached entry, so the threads share one
+// compiled handle and bind their own literals to it.  Each reader must
+// see exactly its own writes back.
+TEST(EngineConcurrencyTest, DistinctLiteralsShareOneShapeEntry) {
+  auto engine = Engine::Create().value();
+  {
+    auto setup = engine->CreateSession();
+    ASSERT_TRUE(setup->Execute("create table kv (k int, v int)").ok());
+    ASSERT_TRUE(setup->Execute("create index on kv (k)").ok());
+  }
+  constexpr int kSessions = 4;
+  constexpr int kKeys = 150;
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s] {
+      auto session = engine->CreateSession();
+      for (int i = 0; i < kKeys; ++i) {
+        const int key = s * 1000 + i;
+        if (!session
+                 ->Execute("append kv (k = " + std::to_string(key) +
+                           ", v = " + std::to_string(3 * key) + ")")
+                 .ok()) {
+          failed.store(true);
+        }
+        auto rows = session->Execute("retrieve (e.v) from e in kv where e.k = " +
+                                     std::to_string(key));
+        if (!rows.ok() || rows->rows.size() != 1 ||
+            rows->rows[0][0].AsInt().value_or(0) != 3 * key) {
+          failed.store(true);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(failed.load());
+  int appends = 0;
+  int reads = 0;
+  for (const StatementCache::EntryInfo& entry : engine->StatementCacheEntries()) {
+    if (entry.normalized_text == "append kv (k = $1, v = $2)") ++appends;
+    if (entry.normalized_text == "retrieve (e.v) from e in kv where e.k = $1") {
+      ++reads;
+    }
+  }
+  EXPECT_EQ(appends, 1);
+  EXPECT_EQ(reads, 1);
+  // A racing first compile may insert once per session; every later
+  // execution hits.
+  const StatementCache::Stats stats = engine->StatementCacheStats();
+  EXPECT_LE(stats.misses, 2 + 2 * kSessions);
+  EXPECT_GE(stats.hits, 2 * kSessions * kKeys - 2 * kSessions);
+  auto session = engine->CreateSession();
+  auto all = MustOk(session->Execute("retrieve (e.k) from e in kv"));
+  EXPECT_EQ(RowCount(all), kSessions * kKeys);
+  EXPECT_TRUE(engine->Stop().ok());
+}
+
 // The per-table lock manager's stress test (PR 10): readers on table A
 // must make progress WHILE a writer holds table B — the property the old
 // single-mutex engine could not provide — and fallback statements

@@ -12,6 +12,7 @@
 #include "engine/session.h"
 #include "obs/audit.h"
 #include "storage/snapshot.h"
+#include "storage/wal.h"
 
 namespace caldb {
 namespace {
@@ -175,6 +176,82 @@ TEST(EngineRestart, ParameterizedExecutionsReplayWithTheirBoundValues) {
     StatementCache::Stats cache = (*engine)->StatementCacheStats();
     EXPECT_EQ(cache.misses, 3);  // create, append shape, the retrieve above
     EXPECT_EQ(cache.hits, 12);
+  }
+}
+
+TEST(EngineRestart, LiftedLiteralWritesReplayAsParamStatements) {
+  // Literal DML through Execute runs as a lifted shape plus its literals,
+  // so each write is logged as one kParamStatement record and replay binds
+  // the decoded literals to the shape: floats, negatives and quoted
+  // strings (holding digits, '$' and the other quote) come back exactly.
+  std::string dir = FreshDataDir("caldb_restart_lifted");
+  EngineOptions opts = DurableOptions(dir);
+  opts.checkpoint_on_stop = false;  // leave everything in the WAL
+  const std::string all_rows =
+      "retrieve (t.id, t.f, t.s) from t in T order by id";
+  const std::vector<std::string> writes = {
+      "append T (id = 1, f = 2.75, s = 'plain')",
+      "append T (id = -7, f = -0.1, s = \"it's $1 and 42\")",
+      "append T (id = 3, f = 1.25, s = 'say \"hi\"')",
+      "append T (id = 4, f = 0.3, s = '')",
+      "replace t in T (f = 9.125, s = '  two  spaces ') where t.id = -7",
+      "delete t in T where t.id = 3",
+      "replace t in T (f = t.f * 3.0) where t.id = 4",
+  };
+  QueryResult before_restart;
+  {
+    auto engine = Engine::Create(opts);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    auto session = (*engine)->CreateSession();
+    ASSERT_TRUE(session->Execute("create table T (id int, f float, s text)")
+                    .ok());
+    ASSERT_TRUE(session->Execute("create index on T (id)").ok());
+    for (const std::string& write : writes) {
+      Result<QueryResult> r = session->Execute(write);
+      ASSERT_TRUE(r.ok()) << write << ": " << r.status().ToString();
+      EXPECT_EQ(r->affected, 1) << write;
+    }
+    Result<QueryResult> rows = session->Execute(all_rows);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->rows.size(), 3u);
+    before_restart = *rows;
+    ASSERT_TRUE((*engine)->Stop().ok());
+  }
+  // The log holds each write's shape, not its literal text.
+  Result<storage::WalReadResult> wal = storage::ReadWal(dir + "/wal");
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  std::vector<std::string> shapes;
+  for (const storage::WalRecord& record : wal->records) {
+    if (record.type == storage::WalRecordType::kParamStatement) {
+      shapes.push_back(record.a);
+    }
+  }
+  ASSERT_EQ(shapes.size(), writes.size());
+  EXPECT_EQ(shapes[0], "append T (id = $1, f = $2, s = $3)");
+  EXPECT_EQ(shapes[4],
+            "replace t in T (f = $1, s = $2) where t.id = -7");
+  EXPECT_EQ(shapes[5], "delete t in T where t.id = $1");
+  {
+    auto engine = Engine::Create(opts);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const Engine::RecoveryStats& stats = (*engine)->recovery_stats();
+    EXPECT_FALSE(stats.snapshot_loaded);
+    EXPECT_EQ(stats.replay_errors, 0);
+    EXPECT_EQ(stats.wal_records_replayed,
+              2 + static_cast<int64_t>(writes.size()));
+    Result<QueryResult> rows = (*engine)->Execute(all_rows);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows->ToString(), before_restart.ToString());
+    ASSERT_EQ(rows->rows.size(), before_restart.rows.size());
+    for (size_t i = 0; i < rows->rows.size(); ++i) {
+      EXPECT_EQ(rows->rows[i][0].AsInt().value(),
+                before_restart.rows[i][0].AsInt().value());
+      // Bit-exact floats, not just their rendering.
+      EXPECT_EQ(rows->rows[i][1].AsFloat().value(),
+                before_restart.rows[i][1].AsFloat().value());
+      EXPECT_EQ(rows->rows[i][2].AsText().value(),
+                before_restart.rows[i][2].AsText().value());
+    }
   }
 }
 

@@ -54,10 +54,12 @@ if [[ "$run_asan" == 1 ]]; then
   # shared-rep machinery and the text front ends.  The CSR offset
   # arithmetic and span views in calendar_rep/sweep are where a stale index
   # turns into UB before it turns into a crash; the scanner and the three
-  # parsers on it are where untrusted text meets integer arithmetic.
+  # parsers on it are where untrusted text meets integer arithmetic, and
+  # the literal lifter turns that text into bind lists.
   ubsan_dir="$repo_root/build-ubsan"
   ubsan_tests=(sweep_test calendar_rep_test lexer_test parser_test query_test
-               pattern_test random_expression_test front_end_fuzz_test)
+               pattern_test random_expression_test front_end_fuzz_test
+               literal_lifting_test)
   cmake -B "$ubsan_dir" -S "$repo_root" -DCALDB_SANITIZE=undefined
   cmake --build "$ubsan_dir" -j "$(nproc)" --target "${ubsan_tests[@]}"
   ubsan_regex="^($(IFS='|'; echo "${ubsan_tests[*]}"))\$"
