@@ -156,17 +156,20 @@ Result<CompiledStatementPtr> Database::Prepare(std::string_view query) {
 
 Result<QueryResult> Database::Run(const CompiledStatement& compiled,
                                   const EvalScope& bound, RunMode mode,
-                                  std::string_view text) {
+                                  std::string_view text, int64_t* clock_ns) {
   if (mode == RunMode::kReplay) return Dispatch(*compiled.stmt, &bound);
   Metrics().statements->Increment();
-  if (!obs::Enabled()) return Dispatch(*compiled.stmt, &bound);
-  obs::Tracer::Span span = obs::StartSpan("db.execute");
-  // One pair of clock reads feeds both the latency histogram and the
-  // slow-statement log.
-  const int64_t start_ns = obs::NowNs();
+  // The run starts at the caller's stamp when it passes one (the engine's
+  // lock-granted read), else at a read of its own; one more read at the
+  // end feeds the span, the latency histogram and the slow-statement log.
+  const int64_t start_ns = obs::PhaseStart(clock_ns);
+  if (start_ns == 0) return Dispatch(*compiled.stmt, &bound);
+  obs::Tracer::Span span = obs::StartSpan("db.execute", start_ns);
   Result<QueryResult> result = Dispatch(*compiled.stmt, &bound);
-  const int64_t elapsed_ns = obs::NowNs() - start_ns;
-  Metrics().statement_ns->Record(elapsed_ns);
+  const int64_t end_ns =
+      obs::PhaseEnd(start_ns, Metrics().statement_ns, clock_ns);
+  span.End(end_ns);
+  const int64_t elapsed_ns = end_ns - start_ns;
   const int64_t threshold_ns = SlowStatementThresholdNs();
   if (threshold_ns > 0 && elapsed_ns >= threshold_ns) {
     Metrics().slow_statements->Increment();

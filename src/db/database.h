@@ -99,11 +99,16 @@ class Database {
   /// Records caldb.db.statements, caldb.db.statement_ns, the db.execute
   /// span and the slow-statement log, which names `text` (the statement as
   /// its sender wrote it; empty: compiled.text); repeated runs of one
-  /// handle never touch the parser.
+  /// handle never touch the parser.  `clock_ns` carries the caller's
+  /// statement timeline: on entry the stamp the run starts at (0: untimed),
+  /// on return the stamp it ended at — one clock read per run.  Without
+  /// it (rule actions, temporal-rule firings, Execute) Run reads its own
+  /// pair.
   Result<QueryResult> Run(const CompiledStatement& compiled,
                           const EvalScope& bound,
                           RunMode mode = RunMode::kStatement,
-                          std::string_view text = {});
+                          std::string_view text = {},
+                          int64_t* clock_ns = nullptr);
 
   /// Statements slower than this are logged ("db.slow_statement", warn)
   /// and counted in caldb.db.slow_statements.  Process-wide; initialized

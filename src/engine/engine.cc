@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
+#include <optional>
 #include <variant>
 
 #include "catalog/calendar_functions.h"
@@ -359,15 +360,23 @@ void Engine::ReleaseSession() {
 }
 
 Result<QueryResult> Engine::Execute(const std::string& statement) {
+  // Slow-statement lines and event-rule audit records name the statement
+  // from the thread's LogContext.  Session::Execute has installed this
+  // text already; a direct caller (or a pool task) has not, so install it
+  // here, keeping the caller's session.
+  std::optional<obs::ScopedLogContext> log_scope;
+  if (obs::CurrentLogContext().statement != statement) {
+    log_scope.emplace(obs::CurrentLogContext().session_id, statement);
+  }
   ParamList lifted;
   CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
                          Prepare(statement, &lifted));
   return Run(*compiled, lifted.empty() ? nullptr : &lifted, statement);
 }
 
-Status Engine::LogDurable(storage::WalRecord record) {
+Status Engine::LogDurable(storage::WalRecord record, int64_t* clock_ns) {
   if (wal_ == nullptr) return Status::OK();
-  Result<uint64_t> lsn = wal_->Append(std::move(record));
+  Result<uint64_t> lsn = wal_->Append(std::move(record), clock_ns);
   if (!lsn.ok()) {
     // Effects are applied in memory but not persisted — surface it; the
     // caller turns it into the operation's status.
@@ -518,14 +527,6 @@ Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
   // params in place, so one compiled shape serves every binding.
   CALDB_ASSIGN_OR_RETURN(EvalScope bound, BindParams(compiled, params));
   Metrics().statements->Increment();
-  obs::Tracer::Span span = obs::StartSpan("engine.execute");
-  // Stamp the statement into the thread's LogContext (keeping whatever
-  // session a Session installed a frame up) so slow-statement log lines
-  // and event-rule audit records name what the user ran — the text as
-  // written, not a lifted shape.
-  obs::LogContext log_ctx = obs::CurrentLogContext();
-  log_ctx.statement.assign(text);
-  obs::ScopedLogContext log_scope{std::move(log_ctx)};
   // HasRetrieveRules / HasEventRules are atomic reads, so classification
   // needs no lock; rules armed between classification and acquisition are
   // picked up by the next statement (same guarantee a probing daemon
@@ -540,6 +541,15 @@ Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
   // case falls back too, as required.
   const bool per_table = compiled.footprint_exact && !compiled.is_ddl &&
                          (!writes || !db_.HasEventRules());
+  // The statement timeline: one clock read at each phase boundary —
+  // entry, lock granted (only when the lock had to wait), DB done and,
+  // for a durable write, WAL appended.  `clock_ns` holds the latest
+  // stamp; the lock manager, Database::Run and the WAL append each take
+  // it as their start and hand back their end, so the
+  // table_locks.wait_ns, db.statement_ns and wal.append_ns histograms and
+  // both spans share the same reads (0: observability off).
+  int64_t clock_ns = obs::Enabled() ? obs::NowNs() : 0;
+  obs::Tracer::Span span = obs::StartSpan("engine.execute", clock_ns);
   if (!writes) {
     // Shared locks on exactly the retrieve's tables: readers of table A
     // are oblivious to a writer hammering table B.  A read without an
@@ -548,9 +558,12 @@ Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
     // exclusive lock excludes per-table writers from all of them.
     span.AddAttr("lock", per_table ? "table-read" : "write");
     LockManager::Guard lock =
-        per_table ? lock_mgr_.AcquireTables(compiled.tables, false)
-                  : lock_mgr_.AcquireGlobalExclusive();
-    return db_.Run(compiled, bound, Database::RunMode::kStatement, text);
+        per_table ? lock_mgr_.AcquireTables(compiled.tables, false, &clock_ns)
+                  : lock_mgr_.AcquireGlobalExclusive(&clock_ns);
+    Result<QueryResult> result = db_.Run(
+        compiled, bound, Database::RunMode::kStatement, text, &clock_ns);
+    span.End(clock_ns);
+    return result;
   }
   span.AddAttr("lock", per_table ? "table-write" : "write");
   const bool bound_values = params != nullptr && !params->empty();
@@ -568,10 +581,10 @@ Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
     // disjoint-table writers interleave, but those records commute, and
     // the WalWriter's own mutex keeps each record atomic.
     LockManager::Guard lock =
-        per_table ? lock_mgr_.AcquireTables(compiled.tables, true)
-                  : lock_mgr_.AcquireGlobalExclusive();
-    Result<QueryResult> r =
-        db_.Run(compiled, bound, Database::RunMode::kStatement, text);
+        per_table ? lock_mgr_.AcquireTables(compiled.tables, true, &clock_ns)
+                  : lock_mgr_.AcquireGlobalExclusive(&clock_ns);
+    Result<QueryResult> r = db_.Run(
+        compiled, bound, Database::RunMode::kStatement, text, &clock_ns);
     // Redo-log the statement whatever its outcome: a failing statement
     // may have applied partial effects, and replaying it fails
     // identically — deterministic either way.  (Not reached for parse or
@@ -584,10 +597,11 @@ Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
                              : storage::WalRecordType::kStatement;
     redo.a = compiled.text;
     redo.b = std::move(encoded_params);
-    Status logged = LogDurable(std::move(redo));
+    Status logged = LogDurable(std::move(redo), &clock_ns);
     if (!logged.ok() && r.ok()) return Result<QueryResult>(logged);
     return r;
   }();
+  span.End(clock_ns);
   // DDL changed schema or rule state: drop cached statements whose
   // precomputed metadata could now be stale.  Outside the db lock (the
   // cache mutex is a leaf); statements racing this drop re-compile on
@@ -735,7 +749,7 @@ void Engine::CronLoop() {
         // spans started inside AdvanceTo parent to it, so `\trace` shows
         // one tree per clock advance on the daemon thread.
         obs::Tracer::Span span = obs::StartSpan("cron.advance");
-        span.AddAttr("to_day", std::to_string(chunk));
+        span.AddAttr("to_day", chunk);
         LockManager::Guard db_lock = lock_mgr_.AcquireGlobalExclusive();
         st = cron_->AdvanceTo(chunk);
         // Redo-log the advance whatever its status: firings before an

@@ -308,8 +308,9 @@ class Engine {
   Status Recover();
   /// Appends one WAL record (no-op for an in-memory engine; callers hold
   /// the exclusive lock so log order matches execution order).  Flags an
-  /// auto-checkpoint when the log outgrows the threshold.
-  Status LogDurable(storage::WalRecord record);
+  /// auto-checkpoint when the log outgrows the threshold.  `clock_ns`: a
+  /// statement timeline's stamp, as WalWriter::Append takes it.
+  Status LogDurable(storage::WalRecord record, int64_t* clock_ns = nullptr);
   /// Snapshot + WAL truncation; caller holds the exclusive lock.
   Status CheckpointLocked();
   /// Runs a due auto-checkpoint, if flagged.  Must be called lock-free.

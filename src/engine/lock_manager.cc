@@ -22,6 +22,43 @@ LockMetrics& Metrics() {
   return *m;
 }
 
+// Times one acquisition.  Every lock is tried first; a lock taken without
+// blocking costs no clock read, and an acquisition that never blocked
+// records a wait of 0 and leaves the caller's stamp as it was.  The first
+// lock that blocks starts the wait (at the caller's stamp when it passed
+// one, else at a read of its own), and the grant reads the clock once.
+class WaitTimer {
+ public:
+  explicit WaitTimer(int64_t* clock_ns)
+      : clock_ns_(clock_ns),
+        timed_(clock_ns != nullptr ? *clock_ns != 0 : obs::Enabled()) {}
+
+  // Takes `mu` (shared or exclusive), blocking only if it must.
+  void Lock(std::shared_mutex* mu, bool exclusive) {
+    if (exclusive ? mu->try_lock() : mu->try_lock_shared()) return;
+    if (timed_ && start_ns_ == 0) start_ns_ = obs::PhaseStart(clock_ns_);
+    if (exclusive) {
+      mu->lock();
+    } else {
+      mu->lock_shared();
+    }
+  }
+
+  void Granted() {
+    if (!timed_) return;
+    if (start_ns_ == 0) {
+      Metrics().wait_ns->Record(0);
+    } else {
+      obs::PhaseEnd(start_ns_, Metrics().wait_ns, clock_ns_);
+    }
+  }
+
+ private:
+  int64_t* clock_ns_;
+  bool timed_;
+  int64_t start_ns_ = 0;
+};
+
 }  // namespace
 
 LockManager::Guard& LockManager::Guard::operator=(Guard&& other) noexcept {
@@ -73,23 +110,20 @@ std::shared_mutex* LockManager::TableMutex(const std::string& name) {
 }
 
 LockManager::Guard LockManager::AcquireTables(
-    const std::vector<std::string>& tables, bool exclusive) {
+    const std::vector<std::string>& tables, bool exclusive,
+    int64_t* clock_ns) {
   Metrics().acquired->Increment();
-  const int64_t t0 = obs::Enabled() ? obs::NowNs() : 0;
+  WaitTimer wait(clock_ns);
   Guard guard;
   guard.mgr_ = this;
   guard.tables_exclusive_ = exclusive;
-  global_mu_.lock_shared();
+  wait.Lock(&global_mu_, /*exclusive=*/false);
   guard.mode_ = Guard::Mode::kTables;
-  auto lock_one = [&guard, exclusive](std::shared_mutex* mu) {
+  auto lock_one = [&guard, &wait, exclusive](std::shared_mutex* mu) {
     // Resolution happened under the registry leaf lock; block on the
     // table lock with the registry released — a blocked acquisition must
     // never stall other statements' name resolution.
-    if (exclusive) {
-      mu->lock();
-    } else {
-      mu->lock_shared();
-    }
+    wait.Lock(mu, exclusive);
     guard.table_locks_.push_back(mu);
   };
   if (tables.size() == 1) {
@@ -108,18 +142,18 @@ LockManager::Guard LockManager::AcquireTables(
     guard.table_locks_.reserve(sorted.size());
     for (const std::string& name : sorted) lock_one(TableMutex(name));
   }
-  if (t0 != 0) Metrics().wait_ns->Record(obs::NowNs() - t0);
+  wait.Granted();
   return guard;
 }
 
-LockManager::Guard LockManager::AcquireGlobalExclusive() {
+LockManager::Guard LockManager::AcquireGlobalExclusive(int64_t* clock_ns) {
   Metrics().fallbacks->Increment();
-  const int64_t t0 = obs::Enabled() ? obs::NowNs() : 0;
+  WaitTimer wait(clock_ns);
   Guard guard;
   guard.mgr_ = this;
-  global_mu_.lock();
+  wait.Lock(&global_mu_, /*exclusive=*/true);
   guard.mode_ = Guard::Mode::kGlobalExclusive;
-  if (t0 != 0) Metrics().wait_ns->Record(obs::NowNs() - t0);
+  wait.Granted();
   return guard;
 }
 

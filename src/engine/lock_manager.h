@@ -28,11 +28,23 @@
 // Observability ("caldb.engine.table_locks.*", docs/OBSERVABILITY.md):
 //   .acquired   footprint acquisitions (per-table path taken)
 //   .fallbacks  global-exclusive acquisitions (fallback path taken)
-//   .wait_ns    wall time spent blocked acquiring either path
+//   .wait_ns    wall time spent blocked acquiring either path (0 when
+//               every lock was free)
+//
+// Timing: every lock is tried first, and an acquisition that takes all
+// of them without blocking records a wait of 0 and reads no clock.  A
+// caller that keeps a statement timeline passes its clock stamp
+// (`clock_ns`, the read it took just before asking): a blocked wait runs
+// from that stamp to one read at the grant, which is handed back in
+// `*clock_ns` as the start of the caller's next phase (unblocked, the
+// stamp stays).  A stamp of 0 means the caller is untimed.  Without a
+// stamp (checkpoints, DDL, DBCRON) a blocked acquisition reads its own
+// pair.
 
 #ifndef CALDB_ENGINE_LOCK_MANAGER_H_
 #define CALDB_ENGINE_LOCK_MANAGER_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,13 +94,14 @@ class LockManager {
   /// deduplicated) shared or exclusive.  An empty list degrades to the
   /// intent-shared layer alone — correct for statements that touch no
   /// table data.
-  Guard AcquireTables(const std::vector<std::string>& tables, bool exclusive);
+  Guard AcquireTables(const std::vector<std::string>& tables, bool exclusive,
+                      int64_t* clock_ns = nullptr);
 
   /// The fallback path: intent exclusive.  Excludes every footprint
   /// statement and every other global holder; used for operations whose
   /// footprint cannot be known from compiled metadata (DDL, rule firings,
   /// checkpoints) and for whole-database reads.
-  Guard AcquireGlobalExclusive();
+  Guard AcquireGlobalExclusive(int64_t* clock_ns = nullptr);
 
   /// Intent shared with no table locks.  This does NOT exclude per-table
   /// writers — safe only for state that is mutated exclusively under the

@@ -21,20 +21,24 @@ SessionMetrics& Metrics() {
   return *m;
 }
 
-// If `text` begins with the given space-separated keywords (ASCII
-// case-insensitive), strips them and returns the trimmed remainder.
-bool ConsumeKeywords(std::string_view text,
-                     std::initializer_list<std::string_view> keywords,
-                     std::string_view* rest) {
-  std::string_view s = TrimWhitespace(text);
-  for (std::string_view kw : keywords) {
-    size_t end = s.find_first_of(" \t\r\n");
-    std::string_view word = end == std::string_view::npos ? s : s.substr(0, end);
-    if (!EqualsIgnoreCase(word, kw)) return false;
-    s = end == std::string_view::npos ? std::string_view{}
-                                      : TrimWhitespace(s.substr(end));
+// Splits the first whitespace-delimited word off `s` (already trimmed)
+// and leaves the trimmed remainder in `*rest`.
+std::string_view SplitWord(std::string_view s, std::string_view* rest) {
+  const size_t end = s.find_first_of(" \t\r\n");
+  if (end == std::string_view::npos) {
+    *rest = {};
+    return s;
   }
-  *rest = s;
+  *rest = TrimWhitespace(s.substr(end));
+  return s.substr(0, end);
+}
+
+// Whether `*rest` starts with the word `kw` (ASCII case-insensitive); if
+// so, consumes it.
+bool ConsumeWord(std::string_view kw, std::string_view* rest) {
+  std::string_view after;
+  if (!EqualsIgnoreCase(SplitWord(*rest, &after), kw)) return false;
+  *rest = after;
   return true;
 }
 
@@ -163,8 +167,7 @@ Result<QueryResult> PreparedStatement::Execute(const ParamList& params) const {
         "cannot execute a prepared statement after Engine::Stop()");
   }
   try {
-    obs::ScopedLogContext log_scope{
-        obs::LogContext{session_id_, compiled_->text}};
+    obs::ScopedLogContext log_scope{session_id_, compiled_->text};
     // The empty bind list goes through the same path: the bind step
     // enforces exact arity, so a 0-param handle accepts {} and a
     // parameterized one reports the missing values up front.
@@ -199,10 +202,10 @@ Result<PreparedStatement> Session::Prepare(const std::string& text) {
 
 Result<QueryResult> Session::Execute(const std::string& text) {
   try {
-    // Stamp this session (and the command text) into the thread's log
-    // context for the duration; Engine::Run narrows the statement
-    // but keeps the session id.
-    obs::ScopedLogContext log_scope{obs::LogContext{id_, text}};
+    // Stamp this session and the command text into the thread's log
+    // context for the duration: the one install for this statement
+    // (Engine::Execute sees its text is already there).
+    obs::ScopedLogContext log_scope{id_, text};
     return ExecuteImpl(text);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("uncaught exception in Execute: ") +
@@ -213,21 +216,25 @@ Result<QueryResult> Session::Execute(const std::string& text) {
 }
 
 Result<QueryResult> Session::ExecuteImpl(const std::string& text) {
+  // One trim and one split decide the verb; only the session verbs look
+  // at a second word.  Anything else is a database statement.
   std::string_view rest;
+  const std::string_view verb = SplitWord(TrimWhitespace(text), &rest);
 
   // Calendar-expression verbs, layered over the database language so the
   // whole system is reachable through one entry point.
-  if (ConsumeKeywords(text, {"cal"}, &rest)) {
+  if (EqualsIgnoreCase(verb, "cal")) {
     CALDB_ASSIGN_OR_RETURN(ScriptValue value, EvalScript(std::string(rest)));
     return MessageResult(RenderScriptValue(value));
   }
-  if (ConsumeKeywords(text, {"explain", "cal"}, &rest) ||
-      ConsumeKeywords(text, {"profile", "cal"}, &rest)) {
+  if ((EqualsIgnoreCase(verb, "explain") ||
+       EqualsIgnoreCase(verb, "profile")) &&
+      ConsumeWord("cal", &rest)) {
     CALDB_ASSIGN_OR_RETURN(std::string report,
                            ExplainScript(std::string(rest)));
     return MessageResult(std::move(report));
   }
-  if (ConsumeKeywords(text, {"define", "calendar"}, &rest)) {
+  if (EqualsIgnoreCase(verb, "define") && ConsumeWord("calendar", &rest)) {
     size_t as_pos = AsciiToLower(std::string(rest)).find(" as ");
     if (as_pos == std::string::npos || as_pos == 0) {
       return Status::ParseError(
@@ -238,12 +245,19 @@ Result<QueryResult> Session::ExecuteImpl(const std::string& text) {
     CALDB_RETURN_IF_ERROR(DefineCalendar(name, script));
     return MessageResult("defined calendar " + name);
   }
-  if (ConsumeKeywords(text, {"drop", "calendar"}, &rest)) {
-    std::string name(rest);
-    CALDB_RETURN_IF_ERROR(engine_->DropCalendar(name));
-    return MessageResult("dropped calendar " + name);
+  if (EqualsIgnoreCase(verb, "drop")) {
+    if (ConsumeWord("calendar", &rest)) {
+      std::string name(rest);
+      CALDB_RETURN_IF_ERROR(engine_->DropCalendar(name));
+      return MessageResult("dropped calendar " + name);
+    }
+    if (ConsumeWord("temporal", &rest) && ConsumeWord("rule", &rest)) {
+      std::string name(rest);
+      CALDB_RETURN_IF_ERROR(engine_->DropTemporalRule(name));
+      return MessageResult("dropped temporal rule " + name);
+    }
   }
-  if (ConsumeKeywords(text, {"declare", "rule"}, &rest)) {
+  if (EqualsIgnoreCase(verb, "declare") && ConsumeWord("rule", &rest)) {
     size_t on_pos = AsciiToLower(std::string(rest)).find(" on ");
     size_t do_pos = AsciiToLower(std::string(rest)).find(" do ");
     if (on_pos == std::string::npos || do_pos == std::string::npos ||
@@ -261,12 +275,7 @@ Result<QueryResult> Session::ExecuteImpl(const std::string& text) {
     return MessageResult("declared rule " + name + " (id " +
                          std::to_string(id) + ")");
   }
-  if (ConsumeKeywords(text, {"drop", "temporal", "rule"}, &rest)) {
-    std::string name(rest);
-    CALDB_RETURN_IF_ERROR(engine_->DropTemporalRule(name));
-    return MessageResult("dropped temporal rule " + name);
-  }
-  if (ConsumeKeywords(text, {"advance", "to"}, &rest)) {
+  if (EqualsIgnoreCase(verb, "advance") && ConsumeWord("to", &rest)) {
     TimePoint target = 0;
     Result<CivilDate> date = ParseCivil(rest);
     if (date.ok()) {

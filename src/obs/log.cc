@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -13,7 +14,19 @@ namespace caldb::obs {
 
 namespace {
 
-thread_local LogContext t_log_context;
+// The thread's context frames: [0] is the empty default, [depth] the
+// current one.  Frames are reused, so installing a statement copies its
+// text into a buffer that already has the capacity: no allocation once
+// the thread has seen a statement as long at that depth.  A deque keeps
+// CurrentLogContext() references valid while it grows.
+struct LogContextStack {
+  std::deque<LogContext> frames = std::deque<LogContext>(1);
+  size_t depth = 0;
+};
+thread_local LogContextStack t_log_contexts;
+
+// A frame that held an unusually long statement gives its buffer back.
+constexpr size_t kMaxKeptStatementBytes = 4096;
 
 int64_t WallMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -90,14 +103,30 @@ std::string RenderLogLine(const LogRecord& record) {
   return out;
 }
 
-const LogContext& CurrentLogContext() { return t_log_context; }
-
-ScopedLogContext::ScopedLogContext(LogContext ctx)
-    : saved_(std::move(t_log_context)) {
-  t_log_context = std::move(ctx);
+const LogContext& CurrentLogContext() {
+  return t_log_contexts.frames[t_log_contexts.depth];
 }
 
-ScopedLogContext::~ScopedLogContext() { t_log_context = std::move(saved_); }
+ScopedLogContext::ScopedLogContext(uint64_t session_id,
+                                   std::string_view statement) {
+  LogContextStack& stack = t_log_contexts;
+  if (++stack.depth == stack.frames.size()) stack.frames.emplace_back();
+  LogContext& frame = stack.frames[stack.depth];
+  frame.session_id = session_id;
+  frame.statement.assign(statement);
+}
+
+ScopedLogContext::ScopedLogContext(const LogContext& ctx)
+    : ScopedLogContext(ctx.session_id, ctx.statement) {}
+
+ScopedLogContext::~ScopedLogContext() {
+  LogContextStack& stack = t_log_contexts;
+  std::string& statement = stack.frames[stack.depth].statement;
+  if (statement.capacity() > kMaxKeptStatementBytes) {
+    std::string().swap(statement);
+  }
+  --stack.depth;
+}
 
 Logger& Logger::Global() {
   static Logger* logger = [] {
@@ -129,8 +158,9 @@ void Logger::Log(LogLevel level, std::string_view event,
   record.level = level;
   record.wall_us = WallMicros();
   record.tid = CurrentThreadId();
-  record.session_id = t_log_context.session_id;
-  record.statement = t_log_context.statement;
+  const LogContext& ctx = CurrentLogContext();
+  record.session_id = ctx.session_id;
+  record.statement = ctx.statement;
   record.event = std::string(event);
   for (const LogField& field : fields) {
     if (!record.fields_json.empty()) record.fields_json += ',';

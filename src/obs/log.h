@@ -88,20 +88,23 @@ struct LogContext {
 };
 
 /// The current thread's context (empty defaults when none installed).
+/// The reference stays valid until the enclosing scope ends.
 const LogContext& CurrentLogContext();
 
-/// RAII: installs `ctx` for the current thread, restoring the previous
-/// context on destruction.  Cheap to nest (Engine overwrites only the
-/// statement, keeping the session a Session installed a frame up).
+/// RAII: installs a context for the current thread, restoring the
+/// previous one on destruction (scopes nest LIFO on one thread).  The
+/// thread keeps one reusable frame per nesting depth, so installing a
+/// statement copies its text without allocating once warm.  Install it
+/// once per statement, where the text is: Session::Execute,
+/// PreparedStatement::Execute, and Engine::Execute for callers that did
+/// not.
 class ScopedLogContext {
  public:
-  explicit ScopedLogContext(LogContext ctx);
+  ScopedLogContext(uint64_t session_id, std::string_view statement);
+  explicit ScopedLogContext(const LogContext& ctx);
   ~ScopedLogContext();
   ScopedLogContext(const ScopedLogContext&) = delete;
   ScopedLogContext& operator=(const ScopedLogContext&) = delete;
-
- private:
-  LogContext saved_;
 };
 
 class Logger {

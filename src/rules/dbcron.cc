@@ -87,9 +87,9 @@ Status DbCron::AdvanceTo(TimePoint day) {
       TemporalRuleManager::FireOutcome fired;
       Result<std::optional<TimePoint>> next = [&] {
         obs::Tracer::Span span = obs::StartSpan("cron.fire");
-        span.AddAttr("rule_id", std::to_string(entry.second));
-        span.AddAttr("scheduled_day", std::to_string(entry.first));
-        span.AddAttr("fired_day", std::to_string(clock_day));
+        span.AddAttr("rule_id", entry.second);
+        span.AddAttr("scheduled_day", entry.first);
+        span.AddAttr("fired_day", clock_day);
         Result<std::optional<TimePoint>> r =
             rules_->FireRule(entry.second, entry.first, &fired);
         if (!fired.rule_name.empty()) span.AddAttr("rule", fired.rule_name);

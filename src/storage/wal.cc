@@ -124,8 +124,16 @@ WalWriter::~WalWriter() {
   }
 }
 
-Result<uint64_t> WalWriter::Append(WalRecord record) {
-  obs::ScopedLatency latency(Metrics().append_ns);
+Result<uint64_t> WalWriter::Append(WalRecord record, int64_t* clock_ns) {
+  // The append (fsync included) is timed from the caller's stamp when it
+  // passes one, else from a read of its own; the end read is handed back.
+  const int64_t start_ns = obs::PhaseStart(clock_ns);
+  Result<uint64_t> lsn = AppendFrame(std::move(record));
+  if (start_ns != 0) obs::PhaseEnd(start_ns, Metrics().append_ns, clock_ns);
+  return lsn;
+}
+
+Result<uint64_t> WalWriter::AppendFrame(WalRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ < 0) return Status::Internal("WAL writer is closed");
   record.lsn = next_lsn_;

@@ -100,8 +100,11 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Appends one record (stamping its LSN) and applies the fsync policy.
-  /// Returns the assigned LSN.
-  Result<uint64_t> Append(WalRecord record);
+  /// Returns the assigned LSN.  Timed in caldb.wal.append_ns: from
+  /// `*clock_ns` when the caller passes its statement timeline's stamp (0:
+  /// untimed), which then receives the end stamp; else from a read of its
+  /// own.
+  Result<uint64_t> Append(WalRecord record, int64_t* clock_ns = nullptr);
 
   /// Forces an fsync (checkpoint/Stop path).  No-op on an empty sync set.
   Status Sync();
@@ -121,6 +124,7 @@ class WalWriter {
   WalWriter(int fd, std::string path, Options options, uint64_t next_lsn,
             int64_t bytes);
 
+  Result<uint64_t> AppendFrame(WalRecord record);
   Status SyncLocked();
 
   mutable std::mutex mu_;

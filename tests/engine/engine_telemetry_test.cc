@@ -243,6 +243,101 @@ TEST(EngineTelemetryTest, EngineStatementsRecordDbStatementMetrics) {
   EXPECT_EQ(statement_ns->count(), timed_before);
 }
 
+TEST(EngineTelemetryTest, StatementTimelineRecordsEachPhaseOnce) {
+  // A statement reads the clock once per phase boundary (entry, lock
+  // granted, DB done) and every instrument takes its stamps from those
+  // reads: one engine.execute span with one db.execute child inside it,
+  // one lock-wait sample and one statement-latency sample.  In memory
+  // the statement ends where its DB run ends — the same stamp.
+  auto engine = Engine::Create().value();
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(session->Execute("create table acct (id int, bal int)").ok());
+  ASSERT_TRUE(session->Execute("create index on acct (id)").ok());
+  ASSERT_TRUE(session->Execute("append acct (id = 1, bal = 10)").ok());
+  obs::Histogram* wait_ns =
+      obs::Metrics().histogram("caldb.engine.table_locks.wait_ns");
+  obs::Histogram* statement_ns =
+      obs::Metrics().histogram("caldb.db.statement_ns");
+  const std::vector<std::pair<std::string, std::string>> statements = {
+      {"retrieve (a.bal) from a in acct where a.id = 1", "table-read"},
+      {"replace a in acct (bal = 11) where a.id = 1", "table-write"},
+  };
+  for (const auto& [stmt, lock] : statements) {
+    SCOPED_TRACE(stmt);
+    obs::Trace().Clear();
+    const int64_t waits_before = wait_ns->count();
+    const int64_t timed_before = statement_ns->count();
+    ASSERT_TRUE(session->Execute(stmt).ok());
+    std::vector<obs::SpanRecord> spans = obs::Trace().Snapshot();
+    std::vector<obs::SpanRecord> executes = SpansNamed(spans, "engine.execute");
+    std::vector<obs::SpanRecord> runs = SpansNamed(spans, "db.execute");
+    ASSERT_EQ(executes.size(), 1u);
+    ASSERT_EQ(runs.size(), 1u);
+    const obs::SpanRecord& parent = executes[0];
+    const obs::SpanRecord& child = runs[0];
+    EXPECT_EQ(child.parent_id, parent.id);
+    EXPECT_GE(child.start_ns, parent.start_ns);
+    EXPECT_LE(child.end_ns, parent.end_ns);
+    EXPECT_EQ(child.end_ns, parent.end_ns);
+    ASSERT_EQ(parent.attrs.size(), 1u);
+    EXPECT_EQ(parent.attrs[0].first, "lock");
+    EXPECT_EQ(parent.attrs[0].second, lock);
+    EXPECT_EQ(wait_ns->count() - waits_before, 1);
+    EXPECT_EQ(statement_ns->count() - timed_before, 1);
+  }
+
+  // Observability off: no span, no timing sample.
+  obs::SetEnabled(false);
+  obs::Trace().Clear();
+  const int64_t waits_before = wait_ns->count();
+  const int64_t timed_before = statement_ns->count();
+  for (const auto& [stmt, lock] : statements) {
+    EXPECT_TRUE(session->Execute(stmt).ok()) << stmt;
+  }
+  obs::SetEnabled(true);
+  EXPECT_TRUE(obs::Trace().Snapshot().empty());
+  EXPECT_EQ(wait_ns->count(), waits_before);
+  EXPECT_EQ(statement_ns->count(), timed_before);
+}
+
+TEST(EngineTelemetryTest, RuleActionTimesItsOwnRun) {
+  // An event rule's action runs through Database::Run without the
+  // statement's stamps: it reads its own pair and records its own
+  // db.execute span (a child of the triggering statement's) and its own
+  // statement_ns sample.
+  auto engine = Engine::Create().value();
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(session->Execute("create table src (x int)").ok());
+  ASSERT_TRUE(session->Execute("create table dst (x int)").ok());
+  ASSERT_TRUE(session
+                  ->Execute("define rule copy on append to src do "
+                            "append dst (x = NEW.x)")
+                  .ok());
+  obs::Histogram* wait_ns =
+      obs::Metrics().histogram("caldb.engine.table_locks.wait_ns");
+  obs::Histogram* statement_ns =
+      obs::Metrics().histogram("caldb.db.statement_ns");
+  obs::Trace().Clear();
+  const int64_t waits_before = wait_ns->count();
+  const int64_t timed_before = statement_ns->count();
+  ASSERT_TRUE(session->Execute("append src (x = 7)").ok());
+
+  std::vector<obs::SpanRecord> spans = obs::Trace().Snapshot();
+  std::vector<obs::SpanRecord> executes = SpansNamed(spans, "engine.execute");
+  std::vector<obs::SpanRecord> runs = SpansNamed(spans, "db.execute");
+  ASSERT_EQ(executes.size(), 1u);
+  ASSERT_EQ(runs.size(), 2u);
+  // Finish order: the action's run ends first, inside the statement's.
+  const obs::SpanRecord& action = runs[0];
+  const obs::SpanRecord& statement = runs[1];
+  EXPECT_EQ(statement.parent_id, executes[0].id);
+  EXPECT_EQ(action.parent_id, statement.id);
+  EXPECT_GE(action.start_ns, statement.start_ns);
+  EXPECT_LE(action.end_ns, statement.end_ns);
+  EXPECT_EQ(wait_ns->count() - waits_before, 1);
+  EXPECT_EQ(statement_ns->count() - timed_before, 2);
+}
+
 TEST(EngineTelemetryTest, AuditRingStaysBoundedUnderSustainedFiring) {
   auto engine = Engine::Create().value();
   auto session = engine->CreateSession();
