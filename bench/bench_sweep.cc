@@ -2,7 +2,9 @@
 // DAYS-scale operands (10k..1M intervals).  BM_SweepJoin*/BM_NaiveJoin* at
 // the same arg are the before/after pair for the listop rewrite; the naive
 // side is capped at 100k (beyond that the quadratic loop takes minutes).
-// Counter deltas (caldb.sweep.*) ride along in the BENCH JSON lines.
+// BM_WindowSlice/BM_WindowCopy pair the zero-copy window filter with a
+// copy of the same range.  Counter deltas (caldb.sweep.*) ride along in
+// the BENCH JSON lines.
 
 #include <benchmark/benchmark.h>
 
@@ -39,7 +41,7 @@ void BM_SweepJoinDuring(benchmark::State& state) {
   for (auto _ : state) {
     int64_t emits = 0;
     SweepJoin(days, ListOp::kDuring, blocks, /*lhs_hi_monotone=*/true,
-              [&](size_t, size_t) { ++emits; });
+              [&](size_t b, size_t e, size_t) { emits += e - b; });
     benchmark::DoNotOptimize(emits);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -67,7 +69,7 @@ void BM_SweepJoinOverlaps(benchmark::State& state) {
   for (auto _ : state) {
     int64_t emits = 0;
     SweepJoin(days, ListOp::kOverlaps, weeks, /*lhs_hi_monotone=*/true,
-              [&](size_t, size_t) { ++emits; });
+              [&](size_t b, size_t e, size_t) { emits += e - b; });
     benchmark::DoNotOptimize(emits);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -96,7 +98,7 @@ void BM_SweepJoinBefore(benchmark::State& state) {
   for (auto _ : state) {
     int64_t emits = 0;
     SweepJoin(days, ListOp::kBefore, probes, /*lhs_hi_monotone=*/true,
-              [&](size_t, size_t) { ++emits; });
+              [&](size_t b, size_t e, size_t) { emits += e - b; });
     benchmark::DoNotOptimize(emits);
   }
 }
@@ -115,6 +117,44 @@ void BM_ForEachDuringDense(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ForEachDuringDense)->Arg(10000)->Arg(100000)->Arg(1000000);
+
+// The evaluator's window filter on a stored value calendar: 30 years of
+// DAYS values against a 2-year window in the middle.  The relaxed
+// overlaps filter on a hi-monotone operand is a zero-copy slice (two
+// binary searches, no sweep); BM_WindowCopy materializes the same range
+// into a fresh rep, the cost the slice removes.
+Calendar ThirtyYearsOfDays() {
+  return Calendar::Order1(Granularity::kDays, DayPoints(30 * 365));
+}
+
+// Years 15 and 16 of `days`.
+Interval TwoYearWindow(const Calendar& days) {
+  const TimePoint first = days.intervals().front().lo;
+  return Interval{first + 14 * 365, first + 16 * 365 - 1};
+}
+
+void BM_WindowSlice(benchmark::State& state) {
+  const Calendar days = ThirtyYearsOfDays();
+  const Interval window = TwoYearWindow(days);
+  for (auto _ : state) {
+    auto r = ForEachInterval(days, ListOp::kOverlaps, window, false);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_WindowSlice);
+
+void BM_WindowCopy(benchmark::State& state) {
+  const Calendar days = ThirtyYearsOfDays();
+  const Interval window = TwoYearWindow(days);
+  for (auto _ : state) {
+    auto slice = ForEachInterval(days, ListOp::kOverlaps, window, false);
+    IntervalSpan v = slice->intervals();
+    auto r = Calendar::Order1(Granularity::kDays,
+                              std::vector<Interval>(v.begin(), v.end()));
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_WindowCopy);
 
 void BM_SweepUnionDense(benchmark::State& state) {
   const int64_t n = state.range(0);

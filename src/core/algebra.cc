@@ -46,70 +46,66 @@ Result<Calendar> IntersectsOp(const Calendar& c, const Calendar& rhs,
   return Calendar::Order1(c.granularity(), std::move(kept));
 }
 
-// True when upper endpoints are non-decreasing (holds for every
-// disjoint sorted calendar, in particular all generated base calendars).
-// Unlocks the sweep kernel's pure-merge fast path and galloping skips.
-bool HiMonotone(IntervalSpan v) {
-  for (size_t i = 1; i < v.size(); ++i) {
-    if (v[i].hi < v[i - 1].hi) return false;
-  }
-  return true;
+// Clipping a `during` match to its rhs element is the identity.
+bool Clips(ListOp op, bool strict) {
+  return strict && ListOpClipsUnderStrict(op) && op != ListOp::kDuring;
 }
 
-// One sweep over `c` against a run of rhs leaf intervals: returns one
-// interval vector per rhs element (a child may stay empty — the paper's
-// "/{ε}" dropping happens per emitted pair under the clipping ops).
-std::vector<std::vector<Interval>> JoinPerRhsElement(
-    const Calendar& c, ListOp op, IntervalSpan rhs_list, bool strict,
-    bool hi_monotone) {
-  IntervalSpan v = c.intervals();
-  const bool clip = strict && ListOpClipsUnderStrict(op);
-  std::vector<std::vector<Interval>> outs(rhs_list.size());
-  SweepJoin(v, op, rhs_list, hi_monotone, [&](size_t i, size_t j) {
-    if (clip) {
-      std::optional<Interval> x = Intersect(v[i], rhs_list[j]);
-      if (!x) return;  // the paper's "/{ε}"
-      outs[j].push_back(*x);
+// Joins c against a sorted run of rhs leaves, appending each run of
+// matches to out->leaves (clipped under a strict overlap op — `during`
+// matches need none — else copied as one block) and counting rhs element
+// j's leaves in counts[j_base + j + 1].  Emission is rhs-major, so the
+// prefix sums of `counts` are the buffer's CSR offsets.  Unclipped runs of
+// a hi-monotone c keep out's metadata current from their ends; only
+// clipping a c that is not hi-monotone can leave a group unsorted
+// (Finalize sorts it).  Returns whether the metadata is current.
+bool JoinInto(const Calendar& c, ListOp op, IntervalSpan rhs, bool strict,
+              size_t j_base, CalendarRep* out, std::vector<uint32_t>* counts) {
+  const bool clip = Clips(op, strict);
+  IntervalSpan lhs = c.intervals();
+  std::vector<Interval>& leaves = out->leaves;
+  SweepJoin(lhs, op, rhs, c.HiMonotone(), [&](size_t b, size_t e, size_t j) {
+    const size_t before = leaves.size();
+    if (!clip) {
+      if (c.HiMonotone()) out->NoteRun(lhs[b], lhs[e - 1]);
+      leaves.insert(leaves.end(), lhs.begin() + b, lhs.begin() + e);
     } else {
-      outs[j].push_back(v[i]);
+      for (size_t i = b; i < e; ++i) {
+        // An empty intersection is the paper's "/{ε}": dropped.
+        if (std::optional<Interval> x = Intersect(lhs[i], rhs[j])) {
+          leaves.push_back(*x);
+        }
+      }
     }
+    (*counts)[j_base + j + 1] +=
+        static_cast<uint32_t>(leaves.size() - before);
   });
-  return outs;
-}
-
-// One foreach application against a single interval.
-Calendar ForEachIntervalSweep(const Calendar& c, ListOp op, const Interval& rhs,
-                              bool strict, bool hi_monotone) {
-  std::vector<std::vector<Interval>> outs =
-      JoinPerRhsElement(c, op, IntervalSpan(&rhs, 1), strict, hi_monotone);
-  return Calendar::Order1(c.granularity(), std::move(outs.front()));
+  return !clip && c.HiMonotone();
 }
 
 // The foreach body for non-singleton rhs: the result's grouping always
 // mirrors rhs's nesting with each rhs leaf replaced by the group of
 // matching (possibly clipped) c intervals, so instead of recursing over
 // rhs children we join c against rhs's flat leaf buffer and stamp out the
-// result rep with rhs's own CSR structure (Calendar::NestedLike) — no
-// per-child vector assembly at any depth.  When the rhs leaf buffer is
-// globally sorted (every generated base calendar) a single sweep covers
-// all rhs leaves; otherwise each order-1 group is swept separately, which
-// preserves the kernels' sorted-run precondition.
+// result rep with rhs's own CSR structure (Calendar::NestedLike).  When the
+// rhs leaf buffer is globally sorted (every generated base calendar) a
+// single sweep covers all rhs leaves; otherwise each order-1 group is swept
+// separately, which preserves the kernels' sorted-run precondition.
 Calendar ForEachFlat(const Calendar& c, ListOp op, const Calendar& rhs,
-                     bool strict, bool hi_monotone) {
-  std::vector<std::vector<Interval>> outs;
+                     bool strict) {
+  CalendarRep out;
+  std::vector<uint32_t> counts(static_cast<size_t>(rhs.TotalIntervals()) + 1);
+  auto join = [&](size_t off, IntervalSpan group) {
+    out.scanned = JoinInto(c, op, group, strict, off, &out, &counts);
+  };
   if (rhs.order() == 1 || rhs.LeavesSorted()) {
-    outs = JoinPerRhsElement(c, op, rhs.Leaves(), strict, hi_monotone);
+    join(0, rhs.Leaves());
   } else {
-    outs.resize(static_cast<size_t>(rhs.TotalIntervals()));
-    rhs.ForEachLeafGroup([&](size_t off, IntervalSpan group) {
-      std::vector<std::vector<Interval>> part =
-          JoinPerRhsElement(c, op, group, strict, hi_monotone);
-      for (size_t j = 0; j < part.size(); ++j) {
-        outs[off + j] = std::move(part[j]);
-      }
-    });
+    rhs.ForEachLeafGroup(join);
   }
-  return Calendar::NestedLike(rhs, c.granularity(), std::move(outs));
+  for (size_t j = 1; j < counts.size(); ++j) counts[j] += counts[j - 1];
+  return Calendar::NestedLike(rhs, c.granularity(), std::move(out),
+                              std::move(counts));
 }
 
 }  // namespace
@@ -117,7 +113,19 @@ Calendar ForEachFlat(const Calendar& c, ListOp op, const Calendar& rhs,
 Result<Calendar> ForEachInterval(const Calendar& c, ListOp op,
                                  const Interval& rhs, bool strict) {
   CALDB_RETURN_IF_ERROR(RequireOrder1(c, "foreach left operand"));
-  return ForEachIntervalSweep(c, op, rhs, strict, HiMonotone(c.intervals()));
+  if (c.HiMonotone() && !Clips(op, strict)) {
+    // On a hi-monotone run the matches are one index range (found by
+    // galloping, O(log n) for the evaluator's window filter): a view.
+    size_t b = 0;
+    size_t e = 0;
+    SweepJoin(c.intervals(), op, IntervalSpan(&rhs, 1), true,
+              [&](size_t rb, size_t re, size_t) { b = rb, e = re; });
+    return c.Slice(b, e);
+  }
+  CalendarRep out;
+  std::vector<uint32_t> counts(2);
+  JoinInto(c, op, IntervalSpan(&rhs, 1), strict, 0, &out, &counts);
+  return Calendar::Order1(c.granularity(), std::move(out.leaves));
 }
 
 Result<Calendar> ForEach(const Calendar& c, ListOp op, const Calendar& rhs,
@@ -125,15 +133,13 @@ Result<Calendar> ForEach(const Calendar& c, ListOp op, const Calendar& rhs,
   if (op == ListOp::kIntersects) return IntersectsOp(c, rhs, strict);
   CALDB_RETURN_IF_ERROR(RequireSameGranularity(c, rhs, "foreach"));
   CALDB_RETURN_IF_ERROR(RequireOrder1(c, "foreach left operand"));
-  const bool hi_monotone = HiMonotone(c.intervals());
   // A one-interval order-1 rhs "is an interval" (paper §3.1): the result
   // collapses to order 1 instead of nesting.  Only at the top level —
   // nested results stay rectangular.
   if (rhs.IsSingleton()) {
-    return ForEachIntervalSweep(c, op, rhs.intervals().front(), strict,
-                                hi_monotone);
+    return ForEachInterval(c, op, rhs.intervals().front(), strict);
   }
-  return ForEachFlat(c, op, rhs, strict, hi_monotone);
+  return ForEachFlat(c, op, rhs, strict);
 }
 
 namespace {
@@ -175,13 +181,14 @@ Status ValidateSelection(const std::vector<SelectionItem>& predicate) {
 // positive or negative — select nothing (documented contract: months with
 // fewer than 5 weeks simply contribute nothing to `[5]/...`, and `[-8]` on
 // a 5-element calendar contributes nothing rather than wrapping around).
-std::vector<size_t> ResolvePositions(const std::vector<SelectionItem>& predicate,
-                                     size_t count) {
-  std::vector<size_t> positions;
+// `positions` is cleared first, so one buffer serves every group.
+void ResolvePositions(const std::vector<SelectionItem>& predicate,
+                      size_t count, std::vector<size_t>* positions) {
+  positions->clear();
   const int64_t n = static_cast<int64_t>(count);
   auto add = [&](int64_t pos_zero_based) {
     if (pos_zero_based >= 0 && pos_zero_based < n) {
-      positions.push_back(static_cast<size_t>(pos_zero_based));
+      positions->push_back(static_cast<size_t>(pos_zero_based));
     }
   };
   for (const SelectionItem& item : predicate) {
@@ -210,7 +217,6 @@ std::vector<size_t> ResolvePositions(const std::vector<SelectionItem>& predicate
       }
     }
   }
-  return positions;
 }
 
 }  // namespace
@@ -221,30 +227,24 @@ Result<Calendar> Select(const std::vector<SelectionItem>& predicate,
     return Status::InvalidArgument("empty selection predicate");
   }
   CALDB_RETURN_IF_ERROR(ValidateSelection(predicate));
-  if (c.order() == 1) {
-    IntervalSpan v = c.intervals();
-    std::vector<Interval> out;
-    for (size_t pos : ResolvePositions(predicate, v.size())) {
-      out.push_back(v[pos]);
-    }
-    return Calendar::Order1(c.granularity(), std::move(out));
-  }
-  // Order n >= 2: pick the selected elements of each order-(n-1) component
-  // and splice them together; the result has order n-1.
-  if (c.order() == 2) {
+  std::vector<size_t> positions;
+  // Order 1 picks intervals; order 2 picks the selected intervals of each
+  // order-1 group and splices them together into an order-1 result.
+  if (c.order() <= 2) {
     std::vector<Interval> out;
     c.ForEachLeafGroup([&](size_t, IntervalSpan group) {
-      for (size_t pos : ResolvePositions(predicate, group.size())) {
-        out.push_back(group[pos]);
-      }
+      ResolvePositions(predicate, group.size(), &positions);
+      for (size_t pos : positions) out.push_back(group[pos]);
     });
     return Calendar::Order1(c.granularity(), std::move(out));
   }
+  // Order n > 2: the same per component, keeping the selected order-(n-2)
+  // children; the result has order n-1.
   std::vector<Calendar> out_children;
-  for (const Calendar& child : c.children()) {
-    for (size_t pos : ResolvePositions(predicate, child.size())) {
-      out_children.push_back(child.child(pos));
-    }
+  for (size_t i = 0; i < c.size(); ++i) {
+    const Calendar child = c.child(i);
+    ResolvePositions(predicate, child.size(), &positions);
+    for (size_t pos : positions) out_children.push_back(child.child(pos));
   }
   return Calendar::Nested(c.granularity(), std::move(out_children),
                           /*order_if_empty=*/c.order() - 1);

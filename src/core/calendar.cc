@@ -32,19 +32,12 @@ Calendar Calendar::Root(CalendarRep rep, Granularity g) {
   auto shared = std::make_shared<const CalendarRep>(std::move(rep));
   const uint32_t top = static_cast<uint32_t>(shared->TopCount());
   const uint32_t leaves = static_cast<uint32_t>(shared->leaves.size());
-  Granularity gran = g;
-  return Calendar(std::move(shared), gran, /*level=*/0, /*begin=*/0,
+  return Calendar(std::move(shared), g, /*level=*/0, /*begin=*/0,
                   /*end=*/top, /*leaf_begin=*/0, /*leaf_end=*/leaves);
 }
 
 Calendar Calendar::Order1(Granularity g, std::vector<Interval> intervals) {
-  for (const Interval& i : intervals) {
-    (void)i;
-    CALDB_DCHECK(IsValidPoint(i.lo) && IsValidPoint(i.hi) && i.lo <= i.hi,
-                 "invalid interval in Calendar::Order1");
-  }
-  std::sort(intervals.begin(), intervals.end(), IntervalLess);
-  CalendarRep rep;
+  CalendarRep rep;  // Root's Finalize checks and, if needed, sorts
   rep.order = 1;
   rep.leaves = std::move(intervals);
   return Root(std::move(rep), g);
@@ -95,25 +88,16 @@ Calendar Calendar::Nested(Granularity g, std::vector<Calendar> children,
 }
 
 Calendar Calendar::NestedLike(const Calendar& shape, Granularity g,
-                              std::vector<std::vector<Interval>> groups) {
-  CALDB_DCHECK(static_cast<int64_t>(groups.size()) == shape.TotalIntervals(),
+                              CalendarRep leaves,
+                              std::vector<uint32_t> inner) {
+  CALDB_DCHECK(static_cast<int64_t>(inner.size()) ==
+                       shape.TotalIntervals() + 1 &&
+                   inner.front() == 0 && inner.back() == leaves.leaves.size(),
                "NestedLike requires one group per shape leaf");
-  CalendarRep rep;
-  rep.order = shape.order() + 1;
-  rep.offsets = shape.ViewOffsets();
-  std::vector<uint32_t> inner;
-  inner.reserve(groups.size() + 1);
-  inner.push_back(0);
-  size_t total = 0;
-  for (const std::vector<Interval>& grp : groups) total += grp.size();
-  rep.leaves.reserve(total);
-  for (std::vector<Interval>& grp : groups) {
-    std::sort(grp.begin(), grp.end(), IntervalLess);
-    rep.leaves.insert(rep.leaves.end(), grp.begin(), grp.end());
-    inner.push_back(static_cast<uint32_t>(rep.leaves.size()));
-  }
-  rep.offsets.push_back(std::move(inner));
-  return Root(std::move(rep), g);
+  leaves.order = shape.order() + 1;
+  leaves.offsets = shape.ViewOffsets();
+  leaves.offsets.push_back(std::move(inner));
+  return Root(std::move(leaves), g);
 }
 
 IntervalSpan Calendar::Leaves() const {
@@ -138,27 +122,19 @@ Calendar Calendar::child(size_t i) const {
   return Calendar(rep_, granularity_, level_ + 1, b, e, lb, le);
 }
 
-void Calendar::ForEachLeafGroup(
-    const std::function<void(size_t, IntervalSpan)>& fn) const {
-  if (order() == 1) {
-    fn(0, Leaves());
-    return;
-  }
-  // Elements at level order-2 are the order-1 groups; compose the view's
-  // element range down to that level, then cut leaves by the innermost
-  // offsets.
-  uint32_t b = begin_;
-  uint32_t e = end_;
-  for (int k = level_; k + 2 < rep_->order; ++k) {
-    b = rep_->offsets[static_cast<size_t>(k)][b];
-    e = rep_->offsets[static_cast<size_t>(k)][e];
-  }
-  const std::vector<uint32_t>& inner = rep_->offsets.back();
-  const Interval* base = rep_->leaves.data();
-  for (uint32_t t = b; t < e; ++t) {
-    fn(inner[t] - leaf_begin_,
-       IntervalSpan(base + inner[t], inner[t + 1] - inner[t]));
-  }
+std::vector<Calendar> Calendar::children() const {
+  std::vector<Calendar> out;
+  for (size_t i = 0; i < size(); ++i) out.push_back(child(i));
+  return out;
+}
+
+Calendar Calendar::Slice(size_t begin, size_t end) const {
+  CALDB_DCHECK(order() == 1 && begin <= end && end <= size(),
+               "Calendar::Slice requires an order-1 calendar and a range");
+  // An order-1 view's element range is its leaf range.
+  const uint32_t b = begin_ + static_cast<uint32_t>(begin);
+  const uint32_t e = begin_ + static_cast<uint32_t>(end);
+  return Calendar(rep_, granularity_, level_, b, e, b, e);
 }
 
 std::vector<std::vector<uint32_t>> Calendar::ViewOffsets() const {
@@ -197,8 +173,11 @@ std::optional<Interval> Calendar::Span() const {
   }
   IntervalSpan lv = Leaves();
   // Within one order-1 group (and in globally sorted buffers) the first
-  // leaf has the minimal lo; hi is not monotone and needs the scan.
+  // leaf has the minimal lo; hi needs the scan unless it is monotone.
   const bool lo_sorted = order() == 1 || rep_->leaves_sorted;
+  if (lo_sorted && rep_->hi_monotone) {
+    return Interval{lv.front().lo, lv.back().hi};
+  }
   TimePoint lo = lv.front().lo;
   TimePoint hi = lv.front().hi;
   for (const Interval& i : lv) {
@@ -260,18 +239,9 @@ bool Calendar::operator==(const Calendar& other) const {
       end_ == other.end_) {
     return true;  // same view of the same rep
   }
-  if (size() != other.size() || TotalIntervals() != other.TotalIntervals()) {
-    return false;
-  }
-  if (order() == 1) {
-    IntervalSpan a = Leaves();
-    IntervalSpan b = other.Leaves();
-    return std::equal(a.begin(), a.end(), b.begin());
-  }
-  for (size_t i = 0; i < size(); ++i) {
-    if (!(child(i) == other.child(i))) return false;
-  }
-  return true;
+  // Same leaves and the same grouping at every level.
+  return std::ranges::equal(Leaves(), other.Leaves()) &&
+         ViewOffsets() == other.ViewOffsets();
 }
 
 }  // namespace caldb

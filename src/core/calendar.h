@@ -47,9 +47,9 @@ class Calendar {
   Calendar(Calendar&&) noexcept = default;
   Calendar& operator=(Calendar&&) noexcept = default;
 
-  /// Builds an order-1 calendar; intervals are sorted by (lo, hi).
-  /// Intervals must be valid (nonzero endpoints, lo <= hi); this is a
-  /// library invariant, checked in debug builds.  Use MakeOrder1 for
+  /// Builds an order-1 calendar, sorted by (lo, hi) unless already in
+  /// order.  Intervals must be valid (nonzero endpoints, lo <= hi); this
+  /// is a library invariant, checked on build.  Use MakeOrder1 for
   /// untrusted input.
   static Calendar Order1(Granularity g, std::vector<Interval> intervals);
 
@@ -67,12 +67,14 @@ class Calendar {
 
   /// Builds an order-(shape.order()+1) calendar whose grouping mirrors
   /// `shape`'s nesting, with shape's j-th leaf interval (tree order)
-  /// replaced by the order-1 group `groups[j]` (each group is sorted on
-  /// build).  Precondition: groups.size() == shape.TotalIntervals().  This
-  /// is how the foreach operators assemble their result directly in CSR
-  /// form, without per-child vector assembly.
+  /// replaced by the order-1 group leaves[inner[j], inner[j+1]) of
+  /// `leaves.leaves` (sorted on build if out of order; `leaves` may carry
+  /// metadata its builder kept, see CalendarRep::NoteRun).  Precondition:
+  /// inner has shape.TotalIntervals() + 1 entries, from 0 to the leaf
+  /// count.  The foreach operators' flat result buffer and offsets are the
+  /// CSR itself.
   static Calendar NestedLike(const Calendar& shape, Granularity g,
-                             std::vector<std::vector<Interval>> groups);
+                             CalendarRep leaves, std::vector<uint32_t> inner);
 
   /// A single-interval order-1 calendar.
   static Calendar Singleton(Granularity g, Interval i) {
@@ -109,21 +111,26 @@ class Calendar {
   /// shared rep; conservative false for views of unsorted buffers).
   bool LeavesSorted() const { return !rep_ || rep_->leaves_sorted; }
 
+  /// True when the upper endpoints of Leaves() are non-decreasing (same
+  /// precomputation and conservatism as LeavesSorted()).
+  bool HiMonotone() const { return !rep_ || rep_->hi_monotone; }
+
+  /// Zero-copy view of intervals [begin, end) of this order-1 calendar.
+  Calendar Slice(size_t begin, size_t end) const;
+
   /// The i-th top-level child as a view sharing this rep.  Precondition:
   /// order() > 1 and i < size().
   Calendar child(size_t i) const;
 
-  /// Iterable, indexable view of the top-level children (order() > 1).
-  /// Elements are Calendar handles built on demand; `for (const Calendar&
-  /// c : cal.children())` works as before.  Defined after the class.
-  class ChildList;
-  ChildList children() const;
+  /// Handles on all top-level children (order() > 1), each a child(i)
+  /// view sharing this rep.
+  std::vector<Calendar> children() const;
 
   /// Calls fn(leaf_offset, group) once per order-1 group in tree order;
   /// `leaf_offset` is the group's first leaf index relative to Leaves().
   /// For order 1 there is exactly one group (the whole calendar).
-  void ForEachLeafGroup(
-      const std::function<void(size_t, IntervalSpan)>& fn) const;
+  template <typename Fn>
+  void ForEachLeafGroup(Fn&& fn) const;
 
   /// True when this order-1 calendar has exactly one interval — such
   /// calendars are treated as plain intervals by the foreach operators
@@ -142,7 +149,8 @@ class Calendar {
   Calendar Flattened() const;
 
   /// The covering interval (min lo, max hi), or nullopt when null.  O(1)
-  /// for whole-rep handles (precomputed); O(#leaves in view) for views.
+  /// for whole-rep handles and sorted hi-monotone views; O(#leaves in
+  /// view) otherwise.
   std::optional<Interval> Span() const;
 
   /// True when point `p` (in this calendar's granularity) lies inside some
@@ -190,34 +198,27 @@ class Calendar {
   uint32_t leaf_begin_ = 0, leaf_end_ = 0;  // covered leaf range
 };
 
-class Calendar::ChildList {
- public:
-  class iterator {
-   public:
-    iterator(const Calendar* parent, size_t i) : parent_(parent), i_(i) {}
-    Calendar operator*() const { return parent_->child(i_); }
-    iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator!=(const iterator& o) const { return i_ != o.i_; }
-
-   private:
-    const Calendar* parent_;
-    size_t i_;
-  };
-  explicit ChildList(const Calendar& parent) : parent_(parent) {}
-  size_t size() const { return parent_.size(); }
-  Calendar operator[](size_t i) const { return parent_.child(i); }
-  iterator begin() const { return iterator(&parent_, 0); }
-  iterator end() const { return iterator(&parent_, parent_.size()); }
-
- private:
-  Calendar parent_;  // keeps the rep alive for the list's lifetime
-};
-
-inline Calendar::ChildList Calendar::children() const {
-  return ChildList(*this);
+template <typename Fn>
+void Calendar::ForEachLeafGroup(Fn&& fn) const {
+  if (order() == 1) {
+    fn(size_t{0}, Leaves());
+    return;
+  }
+  // Elements at level order-2 are the order-1 groups; compose the view's
+  // element range down to that level, then cut leaves by the innermost
+  // offsets.
+  uint32_t b = begin_;
+  uint32_t e = end_;
+  for (int k = level_; k + 2 < rep_->order; ++k) {
+    b = rep_->offsets[static_cast<size_t>(k)][b];
+    e = rep_->offsets[static_cast<size_t>(k)][e];
+  }
+  const std::vector<uint32_t>& inner = rep_->offsets.back();
+  const Interval* base = rep_->leaves.data();
+  for (uint32_t t = b; t < e; ++t) {
+    fn(size_t{inner[t] - leaf_begin_},
+       IntervalSpan(base + inner[t], inner[t + 1] - inner[t]));
+  }
 }
 
 }  // namespace caldb

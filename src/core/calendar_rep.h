@@ -18,13 +18,15 @@
 //     of level k+1.  offsets[n-2] therefore indexes `leaves` directly.
 //   - each order-1 group (the ranges cut out of `leaves` by offsets[n-2],
 //     or the whole buffer when n == 1) is sorted by (lo, hi) — the same
-//     invariant Calendar::Order1 has always enforced.
+//     invariant Calendar::Order1 has always enforced.  Finalize()
+//     establishes it, sorting only a group it finds out of order.
 //
-// Precomputed metadata: `span` (min lo / max hi over all leaves) and
-// `leaves_sorted` (whole buffer sorted by (lo, hi)), which make Span() on
-// root handles O(1) and Flattened() a zero-copy view whenever the buffer
-// is already globally sorted (true for every generated base calendar and
-// most foreach results).
+// Precomputed metadata, from one scan: `span` (min lo / max hi over all
+// leaves), `leaves_sorted` (whole buffer sorted by (lo, hi)) and
+// `hi_monotone`, which make Span() O(1) on root handles, Flattened() a
+// zero-copy view whenever the buffer is already globally sorted (true for
+// every generated base calendar and most foreach results), and pick the
+// sweep fast paths without rescanning an operand per call.
 //
 // Granularity deliberately does NOT live here: it is a property of the
 // Calendar handle, so set_granularity never touches shared state (see the
@@ -33,6 +35,7 @@
 #ifndef CALDB_CORE_CALENDAR_REP_H_
 #define CALDB_CORE_CALENDAR_REP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -44,6 +47,11 @@ namespace caldb {
 /// Zero-copy view over a run of leaf intervals inside a CalendarRep (or
 /// any contiguous Interval storage — std::vector converts implicitly).
 using IntervalSpan = std::span<const Interval>;
+
+/// (lo, hi) lexicographic order — the order-1 group invariant.
+inline bool IntervalLess(const Interval& a, const Interval& b) {
+  return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
+}
 
 struct CalendarRep {
   int order = 1;
@@ -58,21 +66,41 @@ struct CalendarRep {
   /// True when the whole leaf buffer is sorted by (lo, hi) — unlocks the
   /// zero-copy Flattened() view and early-exit point probes.
   bool leaves_sorted = true;
+  /// True when leaf upper endpoints are non-decreasing across the whole
+  /// buffer (every disjoint sorted calendar), hence in every run of it.
+  bool hi_monotone = true;
 
   /// Number of top-level elements.
   size_t TopCount() const {
     return order == 1 ? leaves.size() : offsets[0].size() - 1;
   }
 
-  /// Computes span / leaves_sorted.  Must be called exactly once, after
-  /// which the rep is immutable.
+  /// Set by a builder that kept the metadata current with NoteRun and
+  /// left every group sorted; Finalize's scan and group sort are skipped.
+  bool scanned = false;
+
+  /// Updates the metadata for a run about to be appended to `leaves` that
+  /// is sorted, hi-monotone and valid (a run of a finalized rep with
+  /// hi_monotone), from its two ends alone.
+  void NoteRun(const Interval& first, const Interval& last) {
+    if (leaves.empty()) {
+      span = {first.lo, last.hi};
+      return;
+    }
+    span = {std::min(span.lo, first.lo), std::max(span.hi, last.hi)};
+    leaves_sorted &= !IntervalLess(first, leaves.back());
+    hi_monotone &= first.hi >= leaves.back().hi;
+  }
+
+  /// Computes the metadata above (unless `scanned`), sorting any order-1
+  /// group found out of order.  Must be called exactly once, after which
+  /// the rep is immutable.
   void Finalize();
+
+ private:
+  void Scan();
 };
 
-/// (lo, hi) lexicographic order — the order-1 group invariant.
-inline bool IntervalLess(const Interval& a, const Interval& b) {
-  return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
-}
 
 }  // namespace caldb
 

@@ -6,211 +6,23 @@
 
 namespace caldb {
 
-namespace {
-
-// Registry instruments, resolved once; hot loops accumulate into a local
-// SweepStats and flush a single relaxed add per call.
-struct SweepCounters {
-  obs::Counter* joins = obs::Metrics().counter("caldb.sweep.joins");
-  obs::Counter* comparisons = obs::Metrics().counter("caldb.sweep.comparisons");
-  obs::Counter* emits = obs::Metrics().counter("caldb.sweep.emits");
-  obs::Counter* gallop_skips =
+void sweep_internal::Flush(const SweepStats& st) {
+  // Registry instruments, resolved once; hot loops accumulate into a local
+  // SweepStats and flush a single relaxed add per call.
+  static obs::Counter* joins = obs::Metrics().counter("caldb.sweep.joins");
+  static obs::Counter* comparisons =
+      obs::Metrics().counter("caldb.sweep.comparisons");
+  static obs::Counter* emits = obs::Metrics().counter("caldb.sweep.emits");
+  static obs::Counter* gallop_skips =
       obs::Metrics().counter("caldb.sweep.gallop_skips");
-};
-
-SweepCounters& Counters() {
-  static SweepCounters* counters = new SweepCounters();
-  return *counters;
+  joins->Increment();
+  comparisons->Add(st.comparisons);
+  emits->Add(st.emits);
+  gallop_skips->Add(st.gallop_skips);
 }
 
-void Flush(const SweepStats& st) {
-  SweepCounters& c = Counters();
-  c.joins->Increment();
-  c.comparisons->Add(st.comparisons);
-  c.emits->Add(st.emits);
-  c.gallop_skips->Add(st.gallop_skips);
-}
-
-// First index in [from, n) where `true_at` turns false, assuming true_at
-// holds on a prefix of [from, n).  Exponential probe doubling the stride,
-// then binary search inside the overshoot bracket — the galloping skip.
-template <typename Pred>
-size_t Gallop(size_t from, size_t n, SweepStats& st, Pred true_at) {
-  if (from >= n) return n;
-  ++st.comparisons;
-  if (!true_at(from)) return from;
-  size_t known = from;  // true_at(known) holds
-  size_t step = 1;
-  size_t bound = n;  // first false (if any) lies in (known, bound]
-  while (known + step < n) {
-    size_t probe = known + step;
-    ++st.comparisons;
-    if (true_at(probe)) {
-      st.gallop_skips += static_cast<int64_t>(probe - known - 1);
-      known = probe;
-      step <<= 1;
-    } else {
-      bound = probe;
-      break;
-    }
-  }
-  size_t lo = known + 1;
-  size_t hi = bound;
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    ++st.comparisons;
-    if (true_at(mid)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-// Linear advance used where the skipped prefix is not a monotone predicate
-// (guarded fallback for runs whose upper endpoints are not sorted).
-template <typename Pred>
-size_t LinearAdvance(size_t from, size_t n, SweepStats& st, Pred true_at) {
-  while (from < n) {
-    ++st.comparisons;
-    if (!true_at(from)) break;
-    ++from;
-  }
-  return from;
-}
-
-}  // namespace
-
-SweepStats SweepJoin(IntervalSpan lhs, ListOp op,
-                     IntervalSpan rhs, bool lhs_hi_monotone,
-                     const SweepEmit& emit) {
-  SweepStats st;
-  const size_t n = lhs.size();
-  auto do_emit = [&](size_t i, size_t j) {
-    ++st.emits;
-    emit(i, j);
-  };
-
-  switch (op) {
-    case ListOp::kOverlaps:
-    case ListOp::kIntersects: {
-      // match: lhs.lo <= r.hi && lhs.hi >= r.lo.  Elements whose hi falls
-      // before r.lo are dead for every later probe (rhs.lo is
-      // non-decreasing), so the start cursor only moves forward.
-      size_t start = 0;
-      for (size_t j = 0; j < rhs.size(); ++j) {
-        const Interval& r = rhs[j];
-        auto dead = [&](size_t i) { return lhs[i].hi < r.lo; };
-        start = lhs_hi_monotone ? Gallop(start, n, st, dead)
-                                : LinearAdvance(start, n, st, dead);
-        for (size_t i = start; i < n; ++i) {
-          ++st.comparisons;
-          if (lhs[i].lo > r.hi) break;
-          if (lhs_hi_monotone || lhs[i].hi >= r.lo) do_emit(i, j);
-        }
-      }
-      break;
-    }
-
-    case ListOp::kDuring: {
-      // match: lhs.lo >= r.lo && lhs.hi <= r.hi.  The lo prefix below r.lo
-      // is dead for every later probe; galloping is always sound on lo.
-      size_t start = 0;
-      for (size_t j = 0; j < rhs.size(); ++j) {
-        const Interval& r = rhs[j];
-        start =
-            Gallop(start, n, st, [&](size_t i) { return lhs[i].lo < r.lo; });
-        for (size_t i = start; i < n; ++i) {
-          ++st.comparisons;
-          if (lhs[i].lo > r.hi) break;
-          if (lhs[i].hi <= r.hi) {
-            do_emit(i, j);
-          } else if (lhs_hi_monotone) {
-            break;  // every later hi is at least as large
-          }
-        }
-      }
-      break;
-    }
-
-    case ListOp::kMeets: {
-      // match: lhs.hi == r.lo (which forces lhs.lo <= r.lo).
-      size_t start = 0;
-      for (size_t j = 0; j < rhs.size(); ++j) {
-        const Interval& r = rhs[j];
-        auto dead = [&](size_t i) { return lhs[i].hi < r.lo; };
-        start = lhs_hi_monotone ? Gallop(start, n, st, dead)
-                                : LinearAdvance(start, n, st, dead);
-        for (size_t i = start; i < n; ++i) {
-          ++st.comparisons;
-          if (lhs[i].lo > r.lo) break;
-          if (lhs[i].hi == r.lo) {
-            do_emit(i, j);
-          } else if (lhs_hi_monotone && lhs[i].hi > r.lo) {
-            break;
-          }
-        }
-      }
-      break;
-    }
-
-    case ListOp::kBefore: {
-      // match: lhs.hi <= r.lo — each probe emits a prefix.  With monotone
-      // upper endpoints the prefix boundary only moves forward, so it is
-      // maintained by galloping; otherwise scan the lo-bounded prefix.
-      size_t boundary = 0;  // monotone case: first index with hi > r.lo
-      for (size_t j = 0; j < rhs.size(); ++j) {
-        const Interval& r = rhs[j];
-        if (lhs_hi_monotone) {
-          boundary = Gallop(boundary, n, st,
-                            [&](size_t i) { return lhs[i].hi <= r.lo; });
-          for (size_t i = 0; i < boundary; ++i) do_emit(i, j);
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            ++st.comparisons;
-            if (lhs[i].lo > r.lo) break;
-            if (lhs[i].hi <= r.lo) do_emit(i, j);
-          }
-        }
-      }
-      break;
-    }
-
-    case ListOp::kBeforeEq: {
-      // match: lhs.lo <= r.lo && lhs.hi <= r.hi.  The lo boundary moves
-      // forward monotonically (gallop); the hi filter is per-probe because
-      // rhs upper endpoints carry no ordering guarantee.
-      size_t lo_boundary = 0;  // first index with lo > r.lo
-      for (size_t j = 0; j < rhs.size(); ++j) {
-        const Interval& r = rhs[j];
-        lo_boundary = Gallop(lo_boundary, n, st,
-                             [&](size_t i) { return lhs[i].lo <= r.lo; });
-        if (lhs_hi_monotone) {
-          // Emit [0, min(lo_boundary, first hi > r.hi)).
-          size_t hi_boundary =
-              static_cast<size_t>(std::partition_point(
-                                      lhs.begin(), lhs.begin() + lo_boundary,
-                                      [&](const Interval& x) {
-                                        ++st.comparisons;
-                                        return x.hi <= r.hi;
-                                      }) -
-                                  lhs.begin());
-          for (size_t i = 0; i < hi_boundary; ++i) do_emit(i, j);
-        } else {
-          for (size_t i = 0; i < lo_boundary; ++i) {
-            ++st.comparisons;
-            if (lhs[i].hi <= r.hi) do_emit(i, j);
-          }
-        }
-      }
-      break;
-    }
-  }
-
-  Flush(st);
-  return st;
-}
+using sweep_internal::Flush;
+using sweep_internal::LinearAdvance;
 
 SweepStats SweepSemiJoinOverlaps(IntervalSpan items,
                                  IntervalSpan against,
@@ -352,24 +164,5 @@ std::vector<Interval> SweepGroup(IntervalSpan src,
   Flush(st);
   return out;
 }
-
-namespace naive {
-
-SweepStats Join(IntervalSpan lhs, ListOp op,
-                IntervalSpan rhs, const SweepEmit& emit) {
-  SweepStats st;
-  for (size_t j = 0; j < rhs.size(); ++j) {
-    for (size_t i = 0; i < lhs.size(); ++i) {
-      ++st.comparisons;
-      if (EvalListOp(op, lhs[i], rhs[j])) {
-        ++st.emits;
-        emit(i, j);
-      }
-    }
-  }
-  return st;
-}
-
-}  // namespace naive
 
 }  // namespace caldb

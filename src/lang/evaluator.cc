@@ -1,6 +1,7 @@
 #include "lang/evaluator.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "common/macros.h"
@@ -55,17 +56,21 @@ const Calendar* GenCache::Find(const Key& key) {
 }
 
 const Calendar* GenCache::FindCovering(const Key& key) {
-  for (auto& [ckey, entry] : index_) {
+  // Keys order by (granularity, unit, lo, hi): the candidates are one run
+  // of the index, and past lo > key.lo none can cover.
+  constexpr TimePoint kMin = std::numeric_limits<TimePoint>::min();
+  for (auto it = index_.lower_bound(
+           Key(std::get<0>(key), std::get<1>(key), kMin, kMin));
+       it != index_.end(); ++it) {
+    const Key& ckey = it->first;
     if (std::get<0>(ckey) != std::get<0>(key) ||
-        std::get<1>(ckey) != std::get<1>(key)) {
-      continue;
+        std::get<1>(ckey) != std::get<1>(key) ||
+        std::get<2>(ckey) > std::get<2>(key)) {
+      break;
     }
-    if (std::get<2>(ckey) > std::get<2>(key) ||
-        std::get<3>(ckey) < std::get<3>(key)) {
-      continue;
-    }
-    Touch(entry);
-    return &entry->value;
+    if (std::get<3>(ckey) < std::get<3>(key)) continue;
+    Touch(it->second);
+    return &it->second->value;
   }
   return nullptr;
 }
@@ -273,8 +278,9 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
       }
       // No exact entry — reuse any cached window covering the request.
       // Generation over W materializes exactly the granules overlapping W,
-      // so slicing a covering entry with a relaxed-overlaps sweep is
-      // bit-identical to generating afresh (the cache stays coherent
+      // so filtering a covering entry with relaxed overlaps is
+      // bit-identical to generating afresh; on a hi-monotone entry the
+      // filter is a zero-copy slice of it (the cache stays coherent
       // without storing per-slice copies).
       if (const Calendar* covering = gen_cache_.FindCovering(key)) {
         CALDB_ASSIGN_OR_RETURN(

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "core/algebra.h"
 #include "core/calendar.h"
 #include "obs/obs.h"
 
@@ -176,11 +177,12 @@ TEST(CalendarRepTest, ForEachLeafGroupWalksTreeOrder) {
 TEST(CalendarRepTest, NestedLikeMirrorsShape) {
   Calendar shape = Calendar::Nested(Granularity::kDays,
                                     {O1({{1, 5}, {10, 15}}), O1({{20, 25}})});
-  // One group per leaf of `shape`, deliberately unsorted within a group.
-  std::vector<std::vector<Interval>> groups = {
-      {{3, 4}, {1, 2}}, {{11, 12}}, {}};
-  Calendar out =
-      Calendar::NestedLike(shape, Granularity::kDays, std::move(groups));
+  // One group per leaf of `shape` — {(3,4),(1,2)}, {(11,12)}, {} — the
+  // first deliberately unsorted.
+  CalendarRep leaves;
+  leaves.leaves = {{3, 4}, {1, 2}, {11, 12}};
+  Calendar out = Calendar::NestedLike(shape, Granularity::kDays,
+                                      std::move(leaves), {0, 2, 3, 3});
   EXPECT_EQ(out.order(), 3);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(out.ToString(), "{{{(1,2),(3,4)},{(11,12)}},{{}}}");
@@ -200,6 +202,70 @@ TEST(CalendarRepTest, TransformLeavesKeepsStructure) {
   EXPECT_EQ(shifted->ToString(), "{{{{(101,102),(103,104)},{(105,106)}},{{(107,108)}}}}");
   // The source is untouched (rebuild-on-write, not in-place).
   EXPECT_EQ(c.ToString(), "{{{{(1,2),(3,4)},{(5,6)}},{{(7,8)}}}}");
+}
+
+TEST(CalendarRepTest, SliceSharesTheParentBuffer) {
+  Calendar days = O1({{1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}, {6, 6}});
+  obs::Counter* copies = obs::Metrics().counter("caldb.cal.rep_copies");
+  const int64_t copies_before = copies->value();
+  Calendar mid = days.Slice(1, 4);
+  EXPECT_EQ(mid.ToString(), "{(2,2),(3,3),(4,4)}");
+  EXPECT_EQ(mid.Leaves().data(), days.Leaves().data() + 1);
+  // A slice of a slice, and the window filter's result, are views too.
+  EXPECT_EQ(mid.Slice(1, 2).Leaves().data(), days.Leaves().data() + 2);
+  Result<Calendar> window =
+      ForEachInterval(days, ListOp::kOverlaps, {3, 5}, /*strict=*/false);
+  ASSERT_TRUE(window.ok());
+  EXPECT_EQ(window->Leaves().data(), days.Leaves().data() + 2);
+  EXPECT_TRUE(*window == O1({{3, 3}, {4, 4}, {5, 5}}));
+  EXPECT_TRUE(days.Slice(3, 3).IsNull());
+  EXPECT_EQ(copies->value(), copies_before);
+  // Slices of a child view stay inside that child.
+  Calendar nested = Calendar::Nested(
+      Granularity::kDays, {O1({{1, 2}, {3, 4}}), O1({{5, 6}, {7, 8}})});
+  Calendar second = nested.child(1).Slice(1, 2);
+  EXPECT_EQ(second.ToString(), "{(7,8)}");
+  EXPECT_EQ(second.Leaves().data(), nested.Leaves().data() + 3);
+  EXPECT_EQ(*second.Span(), (Interval{7, 8}));
+}
+
+TEST(CalendarRepTest, SliceObeysTheCowContract) {
+  Calendar slice;
+  {
+    Calendar days = O1({{1, 2}, {3, 4}, {5, 6}});
+    slice = days.Slice(1, 3);
+    slice.set_granularity(Granularity::kWeeks);
+    // The parent handle keeps its own granularity...
+    EXPECT_EQ(days.granularity(), Granularity::kDays);
+    EXPECT_EQ(days.ToString(), "{(1,2),(3,4),(5,6)}");
+  }
+  // ...and the slice keeps the shared rep alive after the parent is gone.
+  EXPECT_EQ(slice.granularity(), Granularity::kWeeks);
+  EXPECT_EQ(slice.ToString(), "{(3,4),(5,6)}");
+  EXPECT_TRUE(slice == Calendar::Order1(Granularity::kWeeks, {{3, 4}, {5, 6}}));
+  EXPECT_EQ(*slice.Span(), (Interval{3, 6}));
+}
+
+TEST(CalendarRepTest, HiMonotoneComputedOnFinalize) {
+  EXPECT_TRUE(O1({}).HiMonotone());
+  EXPECT_TRUE(O1({{1, 3}, {2, 5}, {6, 6}}).HiMonotone());
+  // Sorted by lo, yet an upper endpoint falls: (1,10) then (2,5).
+  Calendar messy = O1({{2, 5}, {1, 10}, {3, 12}});
+  EXPECT_EQ(messy.ToString(), "{(1,10),(2,5),(3,12)}");
+  EXPECT_FALSE(messy.HiMonotone());
+  EXPECT_EQ(*messy.Span(), (Interval{1, 12}));
+  EXPECT_EQ(*messy.Slice(0, 2).Span(), (Interval{1, 10}));
+  // Nested: the flag covers the whole buffer in tree order.
+  EXPECT_TRUE(DeepCalendar().HiMonotone());
+  Calendar falls = Calendar::Nested(Granularity::kDays,
+                                    {O1({{5, 6}, {7, 9}}), O1({{1, 2}})});
+  EXPECT_FALSE(falls.HiMonotone());
+  EXPECT_FALSE(falls.LeavesSorted());
+  // A child of a buffer that is not hi-monotone as a whole is conservative
+  // false; its Span() still scans correctly.
+  EXPECT_FALSE(falls.child(0).HiMonotone());
+  EXPECT_EQ(*falls.child(0).Span(), (Interval{5, 9}));
+  EXPECT_EQ(*falls.Span(), (Interval{1, 9}));
 }
 
 }  // namespace

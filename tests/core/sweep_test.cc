@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <random>
 
 #include "core/algebra.h"
@@ -348,14 +349,142 @@ TEST(SweepDifferentialTest, SweepJoinPairStreamMatchesNaive) {
                       ListOp::kIntersects}) {
       std::vector<std::pair<size_t, size_t>> got;
       std::vector<std::pair<size_t, size_t>> want;
-      SweepJoin(lhs, op, rhs, hi_mono,
-                [&](size_t i, size_t j) { got.emplace_back(i, j); });
+      SweepJoin(lhs, op, rhs, hi_mono, [&](size_t b, size_t e, size_t j) {
+        ASSERT_LT(b, e);
+        for (size_t i = b; i < e; ++i) got.emplace_back(i, j);
+      });
       naive::Join(lhs, op, rhs,
                   [&](size_t i, size_t j) { want.emplace_back(i, j); });
       ASSERT_EQ(got, want) << "op=" << ListOpName(op)
                            << " disjoint=" << disjoint;
     }
   }
+}
+
+// The per-pair assembly the foreach operators used before run emission:
+// one naive::Join pair at a time, clipped under strict overlap ops, pushed
+// into one vector per rhs leaf, each vector sorted, then rebuilt in rhs's
+// shape through Calendar::Nested.
+Calendar PerPairForEach(const Calendar& c, ListOp op, const Calendar& rhs,
+                        bool strict) {
+  const bool clip = strict && ListOpClipsUnderStrict(op);
+  IntervalSpan v = c.intervals();
+  IntervalSpan r = rhs.Leaves();
+  std::vector<std::vector<Interval>> outs(r.size());
+  naive::Join(v, op, r, [&](size_t i, size_t j) {
+    if (!clip) {
+      outs[j].push_back(v[i]);
+    } else if (std::optional<Interval> x = Intersect(v[i], r[j])) {
+      outs[j].push_back(*x);
+    }
+  });
+  for (std::vector<Interval>& grp : outs) {
+    std::sort(grp.begin(), grp.end(), IntervalLess);
+  }
+  if (rhs.IsSingleton()) return Days(outs.front());
+  size_t next = 0;
+  std::function<Calendar(const Calendar&)> mirror = [&](const Calendar& s) {
+    std::vector<Calendar> children;
+    if (s.order() == 1) {
+      for (size_t k = 0; k < s.size(); ++k) {
+        children.push_back(Days(outs[next++]));
+      }
+      return Calendar::Nested(Granularity::kDays, std::move(children), 2);
+    }
+    for (const Calendar& ch : s.children()) children.push_back(mirror(ch));
+    return Calendar::Nested(Granularity::kDays, std::move(children),
+                            s.order() + 1);
+  };
+  return mirror(rhs);
+}
+
+// Run emission: ForEach's one-block group copies must build exactly what
+// the per-pair path built — non-hi-monotone lhs, strict clipping, unsorted
+// rhs leaf buffers (the per-group sweep) and runs straddling the epoch
+// included.  With a hi-monotone lhs every op but `meets` hands the sink at
+// most one run per rhs element.
+TEST(SweepDifferentialTest, RunEmissionMatchesPerPairPath) {
+  Rng rng(0x5EEDF00Dull);
+  for (int trial = 0; trial < 400; ++trial) {
+    const Calendar lhs = RandomOrder1(rng, 30);
+    const Calendar rhs = RandomRhs(rng);
+    for (ListOp op : kForeachOps) {
+      for (bool strict : {true, false}) {
+        auto got = ForEach(lhs, op, rhs, strict);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        Calendar want = PerPairForEach(lhs, op, rhs, strict);
+        ASSERT_TRUE(*got == want)
+            << "op=" << ListOpName(op) << " strict=" << strict
+            << "\nlhs=" << lhs.ToString() << "\nrhs=" << rhs.ToString()
+            << "\ngot=" << got->ToString() << "\nwant=" << want.ToString();
+        // Metadata kept from run ends (or a slice's parent) agrees with a
+        // full scan of the same leaves.
+        ASSERT_EQ(got->LeavesSorted(), want.LeavesSorted()) << got->ToString();
+        ASSERT_EQ(got->HiMonotone(), want.HiMonotone()) << got->ToString();
+        ASSERT_EQ(got->Span(), want.Span()) << got->ToString();
+      }
+      if (!lhs.HiMonotone() || op == ListOp::kMeets) continue;
+      const Calendar flat = rhs.Flattened();
+      std::vector<int> runs(flat.size(), 0);
+      SweepJoin(lhs.intervals(), op, flat.intervals(), true,
+                [&](size_t, size_t, size_t j) { ++runs[j]; });
+      for (int count : runs) ASSERT_LE(count, 1) << ListOpName(op);
+    }
+  }
+}
+
+// The window filter (relaxed overlaps/intersects against one interval) on a
+// hi-monotone calendar is a slice: a view of the operand's own buffer that
+// must hold exactly the elements the naive filter and the per-pair sweep
+// keep — for empty windows, windows outside the span and windows and runs
+// on both sides of the skip-zero epoch.
+TEST(SweepSliceTest, WindowSliceMatchesNaiveAndPerPairPath) {
+  Rng rng(0x511CEull);
+  int slices = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Calendar lhs = RandomOrder1(rng, 40);
+    const int64_t lo = Uniform(rng, -80, 80);
+    Interval window{OffsetToPoint(lo), OffsetToPoint(lo + Uniform(rng, 0, 30))};
+    switch (Uniform(rng, 0, 3)) {
+      case 0:  // entirely before the span
+        if (!lhs.IsNull()) {
+          const int64_t first = PointToOffset(lhs.intervals().front().lo);
+          window = {OffsetToPoint(first - 20), OffsetToPoint(first - 1)};
+        }
+        break;
+      case 1:  // entirely after the span
+        if (!lhs.IsNull()) {
+          const int64_t last = PointToOffset(lhs.Span()->hi);
+          window = {OffsetToPoint(last + 1), OffsetToPoint(last + 5)};
+        }
+        break;
+      default:
+        break;
+    }
+    for (ListOp op : {ListOp::kOverlaps, ListOp::kIntersects}) {
+      for (bool strict : {true, false}) {
+        auto got = ForEachInterval(lhs, op, window, strict);
+        ASSERT_TRUE(got.ok());
+        const Calendar want = NaiveForEachOne(lhs, op, window, strict);
+        const Calendar per_pair = PerPairForEach(
+            lhs, op, Calendar::Singleton(Granularity::kDays, window), strict);
+        ASSERT_TRUE(*got == want && *got == per_pair)
+            << "op=" << ListOpName(op) << " strict=" << strict
+            << "\nlhs=" << lhs.ToString()
+            << "\nwindow=" << FormatInterval(window)
+            << "\ngot=" << got->ToString() << "\nwant=" << want.ToString();
+        EXPECT_EQ(got->Span(), want.Span());
+        if (!strict && lhs.HiMonotone() && !got->IsNull()) {
+          // A view into lhs's buffer, not a copy.
+          const Interval* base = lhs.Leaves().data();
+          ASSERT_GE(got->Leaves().data(), base);
+          ASSERT_LE(got->Leaves().data() + got->size(), base + lhs.size());
+          ++slices;
+        }
+      }
+    }
+  }
+  EXPECT_GT(slices, 200);
 }
 
 // The kernel must do asymptotically less work than the naive join on
@@ -365,9 +494,10 @@ TEST(SweepKernelTest, ComparisonsBeatNaiveOnDisjointRuns) {
   for (int64_t i = 1; i <= 2000; ++i) days.push_back({i, i});
   std::vector<Interval> blocks;
   for (int64_t i = 1; i + 29 <= 2000; i += 30) blocks.push_back({i, i + 29});
-  auto drop = [](size_t, size_t) {};
-  SweepStats sweep = SweepJoin(days, ListOp::kDuring, blocks, true, drop);
-  SweepStats naive = naive::Join(days, ListOp::kDuring, blocks, drop);
+  SweepStats sweep = SweepJoin(days, ListOp::kDuring, blocks, true,
+                               [](size_t, size_t, size_t) {});
+  SweepStats naive =
+      naive::Join(days, ListOp::kDuring, blocks, [](size_t, size_t) {});
   EXPECT_EQ(sweep.emits, naive.emits);
   EXPECT_LT(sweep.comparisons, naive.comparisons / 5);
 }
@@ -378,8 +508,8 @@ TEST(SweepKernelTest, GallopSkipsEngageOnBeforePredicates) {
   // A single probe far to the right: the prefix boundary is found by
   // galloping, not by touching all 5000 elements one comparison at a time.
   const std::vector<Interval> probe = {{4900, 4950}};
-  SweepStats st =
-      SweepJoin(days, ListOp::kBefore, probe, true, [](size_t, size_t) {});
+  SweepStats st = SweepJoin(days, ListOp::kBefore, probe, true,
+                            [](size_t, size_t, size_t) {});
   EXPECT_EQ(st.emits, 4900);
   EXPECT_GT(st.gallop_skips, 4000);
   EXPECT_LT(st.comparisons, 100);

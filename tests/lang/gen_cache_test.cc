@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <vector>
 
 #include "lang/evaluator.h"
@@ -41,6 +43,46 @@ TEST(GenCacheTest, FindCoveringMatchesUnitAndWindow) {
   EXPECT_EQ(cache.FindCovering(K(1, 1, 10, 200)), nullptr);
   // Different unit: never covered.
   EXPECT_EQ(cache.FindCovering(K(1, 2, 10, 50)), nullptr);
+}
+
+// FindCovering scans only the (granularity, unit) run of the index; it must
+// still return the first covering entry in key order, as a scan of every
+// entry would.  Entries are told apart by their interval counts.
+TEST(GenCacheTest, FindCoveringReturnsFirstCoveringEntryInKeyOrder) {
+  GenCache cache;
+  cache.SetBudget(64, 64u << 20);
+  std::map<GenCache::Key, int64_t> all;
+  std::mt19937_64 rng(19);
+  auto uniform = [&](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  for (int64_t n = 1; n <= 40; ++n) {
+    const TimePoint lo = uniform(-50, 50);
+    const GenCache::Key key =
+        K(static_cast<int>(uniform(0, 2)), static_cast<int>(uniform(0, 2)), lo,
+          lo + uniform(0, 60));
+    if (all.count(key) != 0) continue;
+    all[key] = n;
+    cache.Insert(key, DaysCalendar(n));
+  }
+  for (int probe = 0; probe < 500; ++probe) {
+    const TimePoint lo = uniform(-60, 60);
+    const GenCache::Key want_key =
+        K(static_cast<int>(uniform(0, 2)), static_cast<int>(uniform(0, 2)), lo,
+          lo + uniform(0, 30));
+    int64_t want = 0;
+    for (const auto& [key, n] : all) {
+      if (std::get<0>(key) == std::get<0>(want_key) &&
+          std::get<1>(key) == std::get<1>(want_key) &&
+          std::get<2>(key) <= std::get<2>(want_key) &&
+          std::get<3>(key) >= std::get<3>(want_key)) {
+        want = n;
+        break;
+      }
+    }
+    const Calendar* got = cache.FindCovering(want_key);
+    EXPECT_EQ(got == nullptr ? 0 : got->TotalIntervals(), want);
+  }
 }
 
 TEST(GenCacheTest, EntryBudgetEvictsLeastRecentlyUsed) {

@@ -55,9 +55,13 @@ if [[ "$run_asan" == 1 ]]; then
   # arithmetic and span views in calendar_rep/sweep are where a stale index
   # turns into UB before it turns into a crash; the scanner and the three
   # parsers on it are where untrusted text meets integer arithmetic, and
-  # the literal lifter turns that text into bind lists.
+  # the literal lifter turns that text into bind lists.  The foreach
+  # kernel's run and slice index arithmetic lives in the sweep.h template,
+  # so the algebra, calendar and paper-example suites that instantiate it
+  # run here too.
   ubsan_dir="$repo_root/build-ubsan"
-  ubsan_tests=(sweep_test calendar_rep_test lexer_test parser_test query_test
+  ubsan_tests=(sweep_test calendar_rep_test algebra_test calendar_test
+               foreach_paper_examples_test lexer_test parser_test query_test
                pattern_test random_expression_test front_end_fuzz_test
                literal_lifting_test)
   cmake -B "$ubsan_dir" -S "$repo_root" -DCALDB_SANITIZE=undefined
