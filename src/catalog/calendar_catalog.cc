@@ -68,17 +68,8 @@ Status CalendarCatalog::DefineDerived(const std::string& name,
   }
   // Compile outside the lock: analysis re-enters Resolve(), and plans can
   // take a while to build.  The name is re-checked before insertion.
-  Result<Script> parsed = ParseScript(script_text);
-  if (!parsed.ok()) {
-    return parsed.status().WithContext("defining calendar '" + name + "'");
-  }
-  Script script = std::move(parsed).value();
-  Analyzer analyzer(this);
-  CALDB_RETURN_IF_ERROR(
-      analyzer.AnalyzeScript(&script).WithContext("defining calendar '" + name +
-                                                  "'"));
-  CALDB_RETURN_IF_ERROR(OptimizeScript(&script));
-  Result<Plan> plan = CompileScript(script);
+  Script script;
+  Result<Plan> plan = CompileScriptText(script_text, &script, nullptr);
   if (!plan.ok()) {
     return plan.status().WithContext("defining calendar '" + name + "'");
   }
@@ -248,14 +239,16 @@ Result<Calendar> CalendarCatalog::EvaluateCalendar(const std::string& name,
     case ResolvedCalendar::Kind::kBase: {
       CALDB_ASSIGN_OR_RETURN(
           Interval window,
-          ConvertDayWindow(time_system_, opts.window_days, resolved.granularity));
+          IntervalToUnit(time_system_, Granularity::kDays, opts.window_days,
+                         resolved.granularity));
       return GenerateBaseCalendar(time_system_, resolved.granularity,
                                   resolved.granularity, window, /*clip=*/false);
     }
     case ResolvedCalendar::Kind::kValues: {
       CALDB_ASSIGN_OR_RETURN(
           Interval window,
-          ConvertDayWindow(time_system_, opts.window_days, resolved.granularity));
+          IntervalToUnit(time_system_, Granularity::kDays, opts.window_days,
+                         resolved.granularity));
       return ForEachInterval(resolved.values, ListOp::kOverlaps, window,
                              /*strict=*/false);
     }
@@ -310,15 +303,6 @@ Result<ScriptValue> CalendarCatalog::EvaluateScript(
   return evaluator.Run(plan, opts, stats);
 }
 
-Result<Plan> CalendarCatalog::CompileScriptText(
-    const std::string& script_text) const {
-  CALDB_ASSIGN_OR_RETURN(Script script, ParseScript(script_text));
-  Analyzer analyzer(this);
-  CALDB_RETURN_IF_ERROR(analyzer.AnalyzeScript(&script));
-  CALDB_RETURN_IF_ERROR(OptimizeScript(&script));
-  return CompileScript(script);
-}
-
 namespace {
 
 int CountScriptNodes(const std::vector<Stmt>& stmts) {
@@ -339,32 +323,60 @@ std::string FormatNsAsUs(int64_t ns) {
 
 }  // namespace
 
+// What EXPLAIN reports of one compile: a clock stamp at the start and at
+// the end of each phase, and the rewrites this compile made.
+struct CalendarCatalog::CompileReport {
+  int64_t start_ns = 0;
+  int64_t parsed_ns = 0;
+  int64_t analyzed_ns = 0;
+  int64_t optimized_ns = 0;
+  int64_t planned_ns = 0;
+  int nodes_parsed = 0;
+  int nodes_optimized = 0;
+  int inlines = 0;
+  OptimizeStats optimize;
+};
+
+Result<Plan> CalendarCatalog::CompileScriptText(
+    const std::string& script_text) const {
+  Script script;
+  return CompileScriptText(script_text, &script, nullptr);
+}
+
+Result<Plan> CalendarCatalog::CompileScriptText(const std::string& script_text,
+                                                Script* script,
+                                                CompileReport* report) const {
+  if (report != nullptr) report->start_ns = obs::NowNs();
+  CALDB_ASSIGN_OR_RETURN(*script, ParseScript(script_text));
+  if (report != nullptr) {
+    report->parsed_ns = obs::NowNs();
+    report->nodes_parsed = CountScriptNodes(script->stmts);
+  }
+  Analyzer analyzer(this);
+  CALDB_RETURN_IF_ERROR(analyzer.AnalyzeScript(script));
+  if (report != nullptr) {
+    report->analyzed_ns = obs::NowNs();
+    report->inlines = analyzer.inlines();
+  }
+  CALDB_RETURN_IF_ERROR(
+      OptimizeScript(script, report != nullptr ? &report->optimize : nullptr));
+  if (report != nullptr) {
+    report->optimized_ns = obs::NowNs();
+    report->nodes_optimized = CountScriptNodes(script->stmts);
+  }
+  if (report == nullptr) return CompileScript(*script);
+  Result<Plan> plan = CompileScript(*script);
+  report->planned_ns = obs::NowNs();
+  return plan;
+}
+
 Result<std::string> CalendarCatalog::ExplainScript(
     const std::string& script_text, const EvalOptions& opts_in) const {
   obs::Tracer::Span span = obs::StartSpan("catalog.explain");
-  // The inline rewrite happens inside the analyzer; read it off the
-  // registry as a delta around the phase.
-  obs::Counter* inline_counter =
-      obs::Metrics().counter("caldb.opt.rewrite.inline");
-
-  int64_t t0 = obs::NowNs();
-  CALDB_ASSIGN_OR_RETURN(Script script, ParseScript(script_text));
-  int64_t t_parse = obs::NowNs();
-  const int nodes_parsed = CountScriptNodes(script.stmts);
-
-  const int64_t inlines_before = inline_counter->value();
-  Analyzer analyzer(this);
-  CALDB_RETURN_IF_ERROR(analyzer.AnalyzeScript(&script));
-  int64_t t_analyze = obs::NowNs();
-  const int64_t inlines = inline_counter->value() - inlines_before;
-
-  OptimizeStats opt_stats;
-  CALDB_RETURN_IF_ERROR(OptimizeScript(&script, &opt_stats));
-  int64_t t_optimize = obs::NowNs();
-  const int nodes_optimized = CountScriptNodes(script.stmts);
-
-  CALDB_ASSIGN_OR_RETURN(Plan plan, CompileScript(script));
-  int64_t t_plan = obs::NowNs();
+  Script script;
+  CompileReport compile;
+  CALDB_ASSIGN_OR_RETURN(Plan plan,
+                         CompileScriptText(script_text, &script, &compile));
 
   int pushdowns = 0;
   for (const PlanStep& step : plan.steps) {
@@ -383,15 +395,17 @@ Result<std::string> CalendarCatalog::ExplainScript(
   int64_t run_ns = obs::NowNs() - run0;
 
   std::string out = "EXPLAIN " + script_text + "\n";
-  out += "compile: parse=" + FormatNsAsUs(t_parse - t0) +
-         " analyze=" + FormatNsAsUs(t_analyze - t_parse) +
-         " optimize=" + FormatNsAsUs(t_optimize - t_analyze) +
-         " plan=" + FormatNsAsUs(t_plan - t_optimize) + "\n";
-  out += "rewrites: inline=" + std::to_string(inlines) +
-         " factorize=" + std::to_string(opt_stats.factorizations) +
+  out += "compile: parse=" + FormatNsAsUs(compile.parsed_ns - compile.start_ns) +
+         " analyze=" + FormatNsAsUs(compile.analyzed_ns - compile.parsed_ns) +
+         " optimize=" +
+         FormatNsAsUs(compile.optimized_ns - compile.analyzed_ns) +
+         " plan=" + FormatNsAsUs(compile.planned_ns - compile.optimized_ns) +
+         "\n";
+  out += "rewrites: inline=" + std::to_string(compile.inlines) +
+         " factorize=" + std::to_string(compile.optimize.factorizations) +
          " pushdown=" + std::to_string(pushdowns) + " nodes " +
-         std::to_string(nodes_parsed) + " -> " +
-         std::to_string(nodes_optimized) + "\n";
+         std::to_string(compile.nodes_parsed) + " -> " +
+         std::to_string(compile.nodes_optimized) + "\n";
   out += plan.ToString(&profile);
   out += "eval: steps=" + std::to_string(stats.steps_executed) +
          " generate_calls=" + std::to_string(stats.generate_calls) +
@@ -456,29 +470,45 @@ std::optional<TimePoint> FirstPointAfter(const NextFireMemo::Points& points,
   return it->lo > after ? it->lo : PointAdd(after, 1);
 }
 
+// The next-fire search: the first point in (after, limit] found in
+// year-aligned windows of doubling width, [start_year, start_year + span
+// - 1] clamped to limit_year, so that month/year-relative selections
+// ([n]/DAYS:during:MONTHS) stay meaningful.  `window_points(first_year,
+// last_year)` supplies a window's points in the search unit, sorted and
+// merged (UnitPoints).
+template <typename WindowPoints>
+Result<std::optional<TimePoint>> SearchYearWindows(
+    int32_t start_year, int32_t limit_year, TimePoint after, TimePoint limit,
+    const WindowPoints& window_points) {
+  for (int32_t span = 1;; span *= 2) {
+    const int32_t end_year =
+        std::min<int32_t>(start_year + span - 1, limit_year);
+    CALDB_ASSIGN_OR_RETURN(std::shared_ptr<const NextFireMemo::Points> points,
+                           window_points(start_year, end_year));
+    std::optional<TimePoint> hit = FirstPointAfter(*points, after);
+    if (hit.has_value() && *hit <= limit) return hit;
+    if (end_year >= limit_year) return std::optional<TimePoint>(std::nullopt);
+  }
+}
+
 }  // namespace
 
 Result<std::optional<TimePoint>> CalendarCatalog::NextFireDay(
     const std::string& name, TimePoint after_day, TimePoint limit_day) const {
-  CALDB_ASSIGN_OR_RETURN(ResolvedCalendar resolved, Resolve(name));
-  (void)resolved;
-  // Search in year-aligned windows of doubling width.
-  int32_t start_year =
-      time_system_.CivilFromDayPoint(PointAdd(after_day, 1)).year;
-  int32_t limit_year = time_system_.CivilFromDayPoint(limit_day).year;
-  for (int32_t span = 1;; span *= 2) {
-    int32_t end_year = std::min<int32_t>(start_year + span - 1, limit_year);
-    CALDB_ASSIGN_OR_RETURN(Interval window, YearWindow(start_year, end_year));
-    EvalOptions opts;
-    opts.window_days = window;
-    opts.today_day = PointAdd(after_day, 1);
-    CALDB_ASSIGN_OR_RETURN(Calendar cal, EvaluateCalendar(name, opts));
-    CALDB_ASSIGN_OR_RETURN(auto points,
-                           UnitPoints(time_system_, cal, Granularity::kDays));
-    std::optional<TimePoint> hit = FirstPointAfter(*points, after_day);
-    if (hit.has_value() && *hit <= limit_day) return hit;
-    if (end_year >= limit_year) return std::optional<TimePoint>(std::nullopt);
-  }
+  CALDB_RETURN_IF_ERROR(Resolve(name).status());
+  const TimePoint today = PointAdd(after_day, 1);
+  return SearchYearWindows(
+      time_system_.CivilFromDayPoint(today).year,
+      time_system_.CivilFromDayPoint(limit_day).year, after_day, limit_day,
+      [&](int32_t first_year, int32_t last_year)
+          -> Result<std::shared_ptr<const NextFireMemo::Points>> {
+        EvalOptions opts;
+        CALDB_ASSIGN_OR_RETURN(opts.window_days,
+                               YearWindow(first_year, last_year));
+        opts.today_day = today;
+        CALDB_ASSIGN_OR_RETURN(Calendar cal, EvaluateCalendar(name, opts));
+        return UnitPoints(time_system_, cal, Granularity::kDays);
+      });
 }
 
 Result<std::optional<TimePoint>> CalendarCatalog::NextFireDayForPlan(
@@ -499,43 +529,43 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFirePointForPlan(
       Interval limit_days,
       IntervalToUnit(time_system_, unit, PointInterval(limit_point),
                      Granularity::kDays));
-  int32_t start_year =
-      time_system_.CivilFromDayPoint(after_days.lo).year;
-  int32_t limit_year = time_system_.CivilFromDayPoint(limit_days.hi).year;
   // Captured before any evaluation, as in EvaluateCalendar: a window
   // evaluated while a Define*/Drop lands is stored under the old version,
   // where no later lookup finds it.
   const uint64_t version_at_start = version();
   std::optional<Evaluator> evaluator;  // built on the first memo miss
-  for (int32_t span = 1;; span *= 2) {
-    int32_t end_year = std::min<int32_t>(start_year + span - 1, limit_year);
-    // Everything the window's evaluation depends on except `today`, whose
-    // readers are never stored: a hit equals a fresh evaluation.
-    const NextFireMemo::Key key{start_year, end_year, version_at_start, unit};
-    std::shared_ptr<const NextFireMemo::Points> points =
-        plan.next_fire_memo.Find(key);
-    if (points != nullptr) {
-      Metrics().next_fire_memo_hits->Increment();
-    } else {
-      Metrics().next_fire_memo_misses->Increment();
-      CALDB_ASSIGN_OR_RETURN(Interval window, YearWindow(start_year, end_year));
-      EvalOptions opts;
-      opts.window_days = window;
-      opts.today_day = after_days.lo;
-      if (!evaluator.has_value()) evaluator.emplace(&time_system_, this);
-      CALDB_ASSIGN_OR_RETURN(ScriptValue value, evaluator->Run(plan, opts));
-      if (value.kind == ScriptValue::Kind::kCalendar) {
-        CALDB_ASSIGN_OR_RETURN(points,
-                               UnitPoints(time_system_, value.calendar, unit));
-      } else {
-        points = std::make_shared<const NextFireMemo::Points>();
-      }
-      if (!evaluator->read_today()) plan.next_fire_memo.Store(key, points);
-    }
-    std::optional<TimePoint> hit = FirstPointAfter(*points, after_point);
-    if (hit.has_value() && *hit <= limit_point) return hit;
-    if (end_year >= limit_year) return std::optional<TimePoint>(std::nullopt);
-  }
+  return SearchYearWindows(
+      time_system_.CivilFromDayPoint(after_days.lo).year,
+      time_system_.CivilFromDayPoint(limit_days.hi).year, after_point,
+      limit_point,
+      [&](int32_t first_year, int32_t last_year)
+          -> Result<std::shared_ptr<const NextFireMemo::Points>> {
+        // Everything the window's evaluation depends on except `today`,
+        // whose readers are never stored: a hit equals a fresh evaluation.
+        const NextFireMemo::Key key{first_year, last_year, version_at_start,
+                                    unit};
+        if (std::shared_ptr<const NextFireMemo::Points> points =
+                plan.next_fire_memo.Find(key)) {
+          Metrics().next_fire_memo_hits->Increment();
+          return points;
+        }
+        Metrics().next_fire_memo_misses->Increment();
+        EvalOptions opts;
+        CALDB_ASSIGN_OR_RETURN(opts.window_days,
+                               YearWindow(first_year, last_year));
+        opts.today_day = after_days.lo;
+        if (!evaluator.has_value()) evaluator.emplace(&time_system_, this);
+        CALDB_ASSIGN_OR_RETURN(ScriptValue value, evaluator->Run(plan, opts));
+        std::shared_ptr<const NextFireMemo::Points> points;
+        if (value.kind == ScriptValue::Kind::kCalendar) {
+          CALDB_ASSIGN_OR_RETURN(
+              points, UnitPoints(time_system_, value.calendar, unit));
+        } else {
+          points = std::make_shared<const NextFireMemo::Points>();
+        }
+        if (!evaluator->read_today()) plan.next_fire_memo.Store(key, points);
+        return points;
+      });
 }
 
 Result<Interval> CalendarCatalog::YearWindow(int32_t first_year,

@@ -101,7 +101,10 @@ class CalendarCatalog : public CalendarSource {
                                      const EvalOptions& opts,
                                      EvalStats* stats = nullptr) const;
 
-  /// Compiles a script without running it (for inspection / DBCRON).
+  /// Compiles a script without running it: the §3.4 pipeline (parse,
+  /// analyze with inlining, factorize, plan).  Every compile in the
+  /// catalog and the rules layer — ad-hoc scripts, definitions, EXPLAIN,
+  /// temporal rules — runs through here.
   Result<Plan> CompileScriptText(const std::string& script_text) const;
 
   /// EXPLAIN: compiles `script_text` timing each pipeline phase, runs it
@@ -117,9 +120,10 @@ class CalendarCatalog : public CalendarSource {
 
   /// The first DAY point strictly after `after_day` covered by the named
   /// calendar, searching no further than `limit_day`.  Evaluation windows
-  /// grow in whole-year steps so that month/year-relative selections
-  /// ([n]/DAYS:during:MONTHS) stay meaningful.  nullopt when none found.
-  /// This is the primitive DBCRON uses to fill the RULE-TIME table (§4).
+  /// are whole years, doubling in width, so that month/year-relative
+  /// selections ([n]/DAYS:during:MONTHS) stay meaningful.  nullopt when
+  /// none found.  Each window goes through EvaluateCalendar (its eval
+  /// cache and lifespan clamp), with `today` the day after `after_day`.
   Result<std::optional<TimePoint>> NextFireDay(const std::string& name,
                                                TimePoint after_day,
                                                TimePoint limit_day) const;
@@ -130,18 +134,29 @@ class CalendarCatalog : public CalendarSource {
                                                       TimePoint limit_day) const;
 
   /// Granularity-generalized next firing: points are granules of `unit`
-  /// (HOURS for process-control rules, DAYS for the paper's examples).
-  /// The last year window evaluated is memoized on `plan`
-  /// (Plan::next_fire_memo), keyed by (first year, last year, catalog
-  /// version, unit), so successive firings of a rule inside one window
-  /// cost a binary search.  An evaluation that read `today` is never
-  /// memoized.  Safe to call concurrently on one plan.
+  /// (HOURS for process-control rules, DAYS for the paper's examples);
+  /// the same year-window search as NextFireDay, with `today` the day of
+  /// `after_point`.  This is the primitive DBCRON uses to fill the
+  /// RULE-TIME table (§4).  The last year window evaluated is memoized on
+  /// `plan` (Plan::next_fire_memo), keyed by (first year, last year,
+  /// catalog version, unit), so successive firings of a rule inside one
+  /// window cost a binary search.  An evaluation that read `today` is
+  /// never memoized.  Safe to call concurrently on one plan.
   Result<std::optional<TimePoint>> NextFirePointForPlan(const Plan& plan,
                                                         TimePoint after_point,
                                                         TimePoint limit_point,
                                                         Granularity unit) const;
 
  private:
+  struct CompileReport;
+
+  // CompileScriptText, leaving the analyzed and factorized script in
+  // `*script` (DefineDerived stores it for inlining).  With a report,
+  // also stamps each phase and counts the rewrites (EXPLAIN); without
+  // one, reads no clock.
+  Result<Plan> CompileScriptText(const std::string& script_text, Script* script,
+                                 CompileReport* report) const;
+
   // Requires mu_ held (either mode); callers lock.
   Status CheckNameFreeLocked(const std::string& name) const;
 

@@ -39,22 +39,12 @@ Status RegisterCalendarFunctions(Database* db, const CalendarCatalog* catalog,
         }
         EvalOptions opts = WindowAround(*catalog, name, day, default_window_days);
         CALDB_ASSIGN_OR_RETURN(Calendar cal, catalog->EvaluateCalendar(name, opts));
-        // Convert the day to the calendar's granularity before probing.
-        Granularity g = cal.granularity();
-        TimePoint probe = day;
-        if (g != Granularity::kDays) {
-          if (FinerThan(Granularity::kDays, g)) {
-            CALDB_ASSIGN_OR_RETURN(
-                probe, catalog->time_system().GranuleContaining(
-                           g, day, Granularity::kDays));
-          } else {
-            CALDB_ASSIGN_OR_RETURN(
-                Interval r, catalog->time_system().GranuleToUnit(
-                                Granularity::kDays, day, g));
-            probe = r.lo;
-          }
-        }
-        return Value::Bool(cal.ContainsPoint(probe));
+        // Probe with the first granule of the day in the calendar's unit.
+        CALDB_ASSIGN_OR_RETURN(
+            Interval probe,
+            IntervalToUnit(catalog->time_system(), Granularity::kDays,
+                           PointInterval(day), cal.granularity()));
+        return Value::Bool(cal.ContainsPoint(probe.lo));
       }));
 
   CALDB_RETURN_IF_ERROR(registry.Register(

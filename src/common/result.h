@@ -11,12 +11,12 @@
 //  - Library code does not `throw`, and avoids throwing std:: helpers on
 //    user-controlled input (e.g. ParseDouble in common/strings.h instead
 //    of std::stod, which raises out_of_range).
-//  - The facade entry points (Engine::Execute, Session::Execute and the
-//    typed Session surface) additionally wrap their implementations in a
-//    catch-all that converts any escaped exception — out-of-memory aside,
-//    these would be defects — into Status::Internal, so a bug below the
-//    facade degrades into an error return instead of terminating a server
-//    worker thread.
+//  - The facade entry points (Engine::Execute, Session::Execute, the
+//    typed Session surface) and the DBCRON daemon's advance step run their
+//    implementations through NoThrow below, which converts any escaped
+//    exception — out-of-memory aside, these would be defects — into
+//    Status::Internal, so a bug below the facade degrades into an error
+//    return instead of terminating a server worker thread.
 //  - Accessing value() on an error Result is a programming error checked
 //    by assert, not an exception.
 //
@@ -27,7 +27,9 @@
 #define CALDB_COMMON_RESULT_H_
 
 #include <cassert>
+#include <exception>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "common/status.h"
@@ -88,6 +90,23 @@ class Result {
   std::optional<T> value_;
   Status status_;  // OK iff value_ present.
 };
+
+/// The no-throw boundary: returns `fn()` (a Status or a Result<T>), or
+/// Status::Internal("uncaught exception in <where>: <what>") when an
+/// exception escapes it.  A plain template, so the guarded call inlines
+/// and costs nothing unless something throws.
+template <typename Fn>
+auto NoThrow(const char* where, Fn&& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("uncaught exception in ") + where +
+                            ": " + e.what());
+  } catch (...) {
+    return Status::Internal(std::string("uncaught non-exception throw in ") +
+                            where);
+  }
+}
 
 }  // namespace caldb
 

@@ -52,26 +52,6 @@ Result<Calendar> CalOperate(const Calendar& c, std::optional<TimePoint> te,
                           SweepGroup(c.intervals(), te, groups));
 }
 
-namespace {
-
-// Granule conversion is monotone in (lo, hi), so mapping the flat leaf
-// buffer in place of the old per-level recursion preserves every group's
-// sort order; the nesting structure is copied wholesale by TransformLeaves.
-Result<Calendar> RescaleImpl(const TimeSystem& ts, const Calendar& c,
-                             Granularity target) {
-  const Granularity from = c.granularity();
-  return c.TransformLeaves(
-      target, [&](const Interval& i) -> Result<Interval> {
-        CALDB_ASSIGN_OR_RETURN(Interval lo_range,
-                               ts.GranuleToUnit(from, i.lo, target));
-        CALDB_ASSIGN_OR_RETURN(Interval hi_range,
-                               ts.GranuleToUnit(from, i.hi, target));
-        return Interval{lo_range.lo, hi_range.hi};
-      });
-}
-
-}  // namespace
-
 Result<Interval> IntervalToUnit(const TimeSystem& ts, Granularity from,
                                 const Interval& i, Granularity to) {
   if (from == to) return i;
@@ -85,11 +65,6 @@ Result<Interval> IntervalToUnit(const TimeSystem& ts, Granularity from,
   return Interval{lo.lo, hi.hi};
 }
 
-Result<Interval> IntervalToDays(const TimeSystem& ts, Granularity g,
-                                const Interval& i) {
-  return IntervalToUnit(ts, g, i, Granularity::kDays);
-}
-
 Result<Calendar> Rescale(const TimeSystem& ts, const Calendar& c,
                          Granularity target) {
   if (c.granularity() == target) return c;
@@ -99,7 +74,13 @@ Result<Calendar> Rescale(const TimeSystem& ts, const Calendar& c,
         std::string(GranularityName(c.granularity())) + " calendar to coarser " +
         std::string(GranularityName(target)));
   }
-  return RescaleImpl(ts, c, target);
+  // Granule conversion is monotone in (lo, hi), so mapping the flat leaf
+  // buffer preserves every group's sort order; the nesting structure is
+  // copied wholesale by TransformLeaves.
+  const Granularity from = c.granularity();
+  return c.TransformLeaves(target, [&](const Interval& i) {
+    return IntervalToUnit(ts, from, i, target);
+  });
 }
 
 Result<std::string> FormatCalendarCivil(const TimeSystem& ts,
@@ -112,7 +93,8 @@ Result<std::string> FormatCalendarCivil(const TimeSystem& ts,
   for (size_t i = 0; i < c.intervals().size(); ++i) {
     if (i > 0) out += ", ";
     CALDB_ASSIGN_OR_RETURN(
-        Interval days, IntervalToDays(ts, c.granularity(), c.intervals()[i]));
+        Interval days, IntervalToUnit(ts, c.granularity(), c.intervals()[i],
+                                      Granularity::kDays));
     if (days.lo == days.hi) {
       out += FormatCivil(ts.CivilFromDayPoint(days.lo));
     } else {

@@ -38,14 +38,11 @@ Result<Calendar> Rescale(const TimeSystem& ts, const Calendar& c,
                          Granularity target);
 
 /// The `to`-unit interval covered by an interval of granularity `from`
-/// (exact when `to` is finer; the covering granule range when coarser).
+/// (exact when `to` is finer; the covering granule range when coarser;
+/// the interval itself, unchecked, when the units are equal).  Every
+/// granule conversion outside src/time goes through here.
 Result<Interval> IntervalToUnit(const TimeSystem& ts, Granularity from,
                                 const Interval& i, Granularity to);
-
-/// The DAYS interval covered by an interval of granularity `g` (for sub-day
-/// granularities, the covering day range).
-Result<Interval> IntervalToDays(const TimeSystem& ts, Granularity g,
-                                const Interval& i);
 
 /// Renders an order-1 calendar with civil dates — the human-facing output
 /// the paper's §5 discussion (MultiCal's concern) is about:

@@ -14,8 +14,8 @@ namespace caldb {
 
 namespace {
 
-// Process-wide counters mirroring Database::Stats, plus the per-statement
-// latency histogram.  Looked up once; see docs/OBSERVABILITY.md.
+// The DB substrate's scan and rule counters and the per-statement latency
+// histogram.  Looked up once; see docs/OBSERVABILITY.md.
 struct DbMetrics {
   obs::Counter* statements = obs::Metrics().counter("caldb.db.statements");
   obs::Counter* rows_scanned =
@@ -261,7 +261,6 @@ Status Database::CollectMatches(Table* table, const std::string& var,
   EvalScope scope = MakeScope(ambient);
   Status visit_status = Status::OK();
   auto visit = [&](RowId id, const Row& row) {
-    stats_.rows_scanned.fetch_add(1, std::memory_order_relaxed);
     Metrics().rows_scanned->Increment();
     if (where != nullptr) {
       scope.tuples[var] = TupleBinding{&table->schema(), &row};
@@ -285,13 +284,11 @@ Status Database::CollectMatches(Table* table, const std::string& var,
   // — by a constant, or by a placeholder whose value is bound this call.
   if (std::optional<IndexChoice> choice =
           ChooseIndex(*table, var, where, scope.params)) {
-    stats_.index_scans.fetch_add(1, std::memory_order_relaxed);
     Metrics().index_scans->Increment();
     CALDB_RETURN_IF_ERROR(
         table->IndexScan(choice->column, choice->lo, choice->hi, visit));
     return visit_status;
   }
-  stats_.full_scans.fetch_add(1, std::memory_order_relaxed);
   Metrics().full_scans->Increment();
   table->Scan(visit);
   return visit_status;
@@ -342,7 +339,6 @@ Status Database::FireRules(DbEvent event, const std::string& table,
         continue;
       }
     }
-    stats_.rules_fired.fetch_add(1, std::memory_order_relaxed);
     Metrics().rules_fired->Increment();
     const int64_t action_start_ns = obs::NowNs();
     if (rule.callback) {
@@ -664,7 +660,6 @@ Result<QueryResult> Database::ExecuteRetrieve(const RetrieveStmt& stmt,
     Table* table = tables[level];
     Status inner_status = Status::OK();
     auto visit = [&](RowId id, const Row& row) {
-      stats_.rows_scanned.fetch_add(1, std::memory_order_relaxed);
       Metrics().rows_scanned->Increment();
       bound_rows[level] = row;
       scope.tuples[vars[level]] =
@@ -689,13 +684,11 @@ Result<QueryResult> Database::ExecuteRetrieve(const RetrieveStmt& stmt,
     if (std::optional<IndexChoice> choice =
             ChooseIndex(*table, vars[level], stmt.where.get(),
                         scope.params)) {
-      stats_.index_scans.fetch_add(1, std::memory_order_relaxed);
       Metrics().index_scans->Increment();
       CALDB_RETURN_IF_ERROR(
           table->IndexScan(choice->column, choice->lo, choice->hi, visit));
       return inner_status;
     }
-    stats_.full_scans.fetch_add(1, std::memory_order_relaxed);
     Metrics().full_scans->Increment();
     table->Scan(visit);
     return inner_status;
@@ -978,19 +971,25 @@ Result<QueryResult> Database::ExecuteExplain(const ExplainStmt& stmt,
   CALDB_ASSIGN_OR_RETURN(result.message, DescribePlan(*inner->stmt));
   if (!stmt.profile) return result;
 
-  const Stats before = stats();
+  // Deltas of the registry counters around the run (process-wide, so a
+  // statement running concurrently in another session counts too).
+  DbMetrics& m = Metrics();
+  const int64_t rows_before = m.rows_scanned->value();
+  const int64_t index_before = m.index_scans->value();
+  const int64_t full_before = m.full_scans->value();
+  const int64_t rules_before = m.rules_fired->value();
   const int64_t t0 = obs::NowNs();
   CALDB_ASSIGN_OR_RETURN(QueryResult run, Dispatch(*inner->stmt, ambient));
   const int64_t ns = obs::NowNs() - t0;
 
   result.message += "profile: rows_scanned=" +
-                    std::to_string(stats().rows_scanned - before.rows_scanned) +
+                    std::to_string(m.rows_scanned->value() - rows_before) +
                     " index_scans=" +
-                    std::to_string(stats().index_scans - before.index_scans) +
+                    std::to_string(m.index_scans->value() - index_before) +
                     " full_scans=" +
-                    std::to_string(stats().full_scans - before.full_scans) +
+                    std::to_string(m.full_scans->value() - full_before) +
                     " rules_fired=" +
-                    std::to_string(stats().rules_fired - before.rules_fired) +
+                    std::to_string(m.rules_fired->value() - rules_before) +
                     " rows_out=" + std::to_string(run.affected) + " time=" +
                     std::to_string(ns / 1000) + "." +
                     std::to_string(ns / 100 % 10) + "us\n";

@@ -141,33 +141,6 @@ class Database {
     return total_rules_.load(std::memory_order_acquire) > 0;
   }
 
-  // --- instrumentation (used by benches) -------------------------------
-
-  /// Thin per-database view of the scan counters; the same events also
-  /// feed the process-wide registry ("caldb.db.*", docs/OBSERVABILITY.md).
-  /// Counters are relaxed atomics internally (retrieves increment them
-  /// under the Engine's shared lock); stats() returns a snapshot.
-  struct Stats {
-    int64_t rows_scanned = 0;
-    int64_t index_scans = 0;
-    int64_t full_scans = 0;
-    int64_t rules_fired = 0;
-  };
-  Stats stats() const {
-    Stats s;
-    s.rows_scanned = stats_.rows_scanned.load(std::memory_order_relaxed);
-    s.index_scans = stats_.index_scans.load(std::memory_order_relaxed);
-    s.full_scans = stats_.full_scans.load(std::memory_order_relaxed);
-    s.rules_fired = stats_.rules_fired.load(std::memory_order_relaxed);
-    return s;
-  }
-  void ResetStats() {
-    stats_.rows_scanned.store(0, std::memory_order_relaxed);
-    stats_.index_scans.store(0, std::memory_order_relaxed);
-    stats_.full_scans.store(0, std::memory_order_relaxed);
-    stats_.rules_fired.store(0, std::memory_order_relaxed);
-  }
-
  private:
   // The access path CollectMatches / the join enumerator would take for
   // (table, var, where): the indexed int column and key range, or nullopt
@@ -211,13 +184,6 @@ class Database {
 
   EvalScope MakeScope(const EvalScope* ambient) const;
 
-  struct AtomicStats {
-    std::atomic<int64_t> rows_scanned{0};
-    std::atomic<int64_t> index_scans{0};
-    std::atomic<int64_t> full_scans{0};
-    std::atomic<int64_t> rules_fired{0};
-  };
-
   FunctionRegistry registry_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::vector<EventRule> rules_;
@@ -225,7 +191,6 @@ class Database {
   std::atomic<int> retrieve_rules_{0};
   // Count of all armed rules; see HasEventRules().
   std::atomic<int> total_rules_{0};
-  AtomicStats stats_;
   // Cascade depth.  Only touched when a rule matching (event, table)
   // exists, which forces the statement onto the exclusive path.
   int fire_depth_ = 0;

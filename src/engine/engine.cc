@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <exception>
 #include <filesystem>
 #include <optional>
 #include <variant>
@@ -406,15 +405,10 @@ Status Engine::Checkpoint() {
   if (wal_ == nullptr) {
     return Status::InvalidArgument("engine has no data dir to checkpoint to");
   }
-  try {
+  return NoThrow("Checkpoint", [&] {
     LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
     return CheckpointLocked();
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Checkpoint: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Checkpoint");
-  }
+  });
 }
 
 Status Engine::CheckpointLocked() {
@@ -439,7 +433,7 @@ Status Engine::CheckpointLocked() {
 Status Engine::DefineCalendar(const std::string& name,
                               const std::string& script,
                               std::optional<Interval> lifespan_days) {
-  try {
+  return NoThrow("DefineCalendar", [&]() -> Status {
     // The exclusive lock serializes the WAL append with statement/rule
     // records (lock order: the lock manager before catalog internals).
     LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
@@ -450,33 +444,23 @@ Status Engine::DefineCalendar(const std::string& name,
     record.b = script;
     record.c = FormatLifespan(lifespan_days);
     return LogDurable(std::move(record));
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in DefineCalendar: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in DefineCalendar");
-  }
+  });
 }
 
 Status Engine::DropCalendar(const std::string& name) {
-  try {
+  return NoThrow("DropCalendar", [&]() -> Status {
     LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
     CALDB_RETURN_IF_ERROR(catalog_.Drop(name));
     storage::WalRecord record;
     record.type = storage::WalRecordType::kDropCalendar;
     record.a = name;
     return LogDurable(std::move(record));
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in DropCalendar: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in DropCalendar");
-  }
+  });
 }
 
 Result<CompiledStatementPtr> Engine::Prepare(const std::string& statement,
                                              ParamList* lifted) {
-  try {
+  return NoThrow("Prepare", [&]() -> Result<CompiledStatementPtr> {
     if (lifted == nullptr) return stmt_cache_.GetOrCompile(statement);
     StatementShape shape = ShapeStatement(statement, /*lift_literals=*/true);
     if (shape.values.empty()) {
@@ -492,12 +476,7 @@ Result<CompiledStatementPtr> Engine::Prepare(const std::string& statement,
     }
     // The shape would bind differently: compile the text as written.
     return stmt_cache_.GetOrCompile(statement);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Prepare: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Prepare");
-  }
+  });
 }
 
 Result<QueryResult> Engine::Run(const CompiledStatement& compiled,
@@ -505,17 +484,12 @@ Result<QueryResult> Engine::Run(const CompiledStatement& compiled,
                                 std::string_view text) {
   // The facade's no-throw contract (common/result.h): a defect below this
   // frame surfaces as kInternal, never as an exception crossing the API.
-  try {
+  return NoThrow("Execute", [&] {
     Result<QueryResult> result =
         RunImpl(compiled, params, text.empty() ? compiled.text : text);
     MaybeCheckpoint();
     return result;
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Execute: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Execute");
-  }
+  });
 }
 
 Result<QueryResult> Engine::RunImpl(const CompiledStatement& compiled,
@@ -655,7 +629,7 @@ Result<int64_t> Engine::DeclareRule(const std::string& name,
                                     const std::string& expression,
                                     TemporalAction action,
                                     const std::string& condition_query) {
-  try {
+  return NoThrow("DeclareRule", [&]() -> Result<int64_t> {
     LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
     const TimePoint declared_at = Now();
     const std::string command = action.command;
@@ -679,19 +653,18 @@ Result<int64_t> Engine::DeclareRule(const std::string& name,
     record.day = declared_at;
     CALDB_RETURN_IF_ERROR(LogDurable(std::move(record)));
     return id;
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in DeclareRule: ") +
-                            e.what());
-  }
+  });
 }
 
 Status Engine::DropTemporalRule(const std::string& name) {
-  LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
-  CALDB_RETURN_IF_ERROR(rules_->DropRule(name));
-  storage::WalRecord record;
-  record.type = storage::WalRecordType::kDropRule;
-  record.a = name;
-  return LogDurable(std::move(record));
+  return NoThrow("DropTemporalRule", [&]() -> Status {
+    LockManager::Guard lock = lock_mgr_.AcquireGlobalExclusive();
+    CALDB_RETURN_IF_ERROR(rules_->DropRule(name));
+    storage::WalRecord record;
+    record.type = storage::WalRecordType::kDropRule;
+    record.a = name;
+    return LogDurable(std::move(record));
+  });
 }
 
 Status Engine::AdvanceTo(TimePoint day) {
@@ -751,7 +724,9 @@ void Engine::CronLoop() {
         obs::Tracer::Span span = obs::StartSpan("cron.advance");
         span.AddAttr("to_day", chunk);
         LockManager::Guard db_lock = lock_mgr_.AcquireGlobalExclusive();
-        st = cron_->AdvanceTo(chunk);
+        // A firing that throws (a TemporalAction callback, say) ends this
+        // chunk with kInternal, which AdvanceTo reports; the daemon lives.
+        st = NoThrow("AdvanceTo", [&] { return cron_->AdvanceTo(chunk); });
         // Redo-log the advance whatever its status: firings before an
         // error already applied, and replaying the advance reproduces
         // them (and the error) deterministically.  The firings themselves

@@ -1,7 +1,5 @@
 #include "engine/session.h"
 
-#include <exception>
-
 #include "common/macros.h"
 #include "common/strings.h"
 #include "engine/engine.h"
@@ -96,56 +94,36 @@ Status Session::SetWindowYears(int32_t first_year, int32_t last_year) {
 }
 
 Result<ScriptValue> Session::EvalScript(const std::string& script) {
-  try {
+  return NoThrow("EvalScript", [&]() -> Result<ScriptValue> {
     Metrics().scripts->Increment();
     CALDB_ASSIGN_OR_RETURN(Plan plan,
                            engine_->catalog().CompileScriptText(script));
     last_stats_ = EvalStats{};
     return evaluator_.Run(plan, EffectiveOptions(), &last_stats_);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in EvalScript: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in EvalScript");
-  }
+  });
 }
 
 Result<Calendar> Session::EvalCalendar(const std::string& name) {
-  try {
+  return NoThrow("EvalCalendar", [&] {
     last_stats_ = EvalStats{};
     return engine_->catalog().EvaluateCalendar(name, EffectiveOptions(),
                                                &last_stats_);
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in EvalCalendar: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in EvalCalendar");
-  }
+  });
 }
 
 Result<std::string> Session::ExplainScript(const std::string& script) {
-  try {
+  return NoThrow("ExplainScript", [&] {
     return engine_->catalog().ExplainScript(script, EffectiveOptions());
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in ExplainScript: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in ExplainScript");
-  }
+  });
 }
 
 Status Session::DefineCalendar(const std::string& name,
                                const std::string& script,
                                std::optional<Interval> lifespan_days) {
-  try {
-    // Via the engine so a durable engine WAL-logs the definition.
+  // Via the engine so a durable engine WAL-logs the definition.
+  return NoThrow("DefineCalendar", [&] {
     return engine_->DefineCalendar(name, script, lifespan_days);
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in DefineCalendar: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in DefineCalendar");
-  }
+  });
 }
 
 Result<QueryResult> PreparedStatement::Execute(const ParamList& params) const {
@@ -166,18 +144,13 @@ Result<QueryResult> PreparedStatement::Execute(const ParamList& params) const {
     return Status::InvalidArgument(
         "cannot execute a prepared statement after Engine::Stop()");
   }
-  try {
+  return NoThrow("Execute", [&] {
     obs::ScopedLogContext log_scope{session_id_, compiled_->text};
     // The empty bind list goes through the same path: the bind step
     // enforces exact arity, so a 0-param handle accepts {} and a
     // parameterized one reports the missing values up front.
     return engine_->Run(*compiled_, &params);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Execute: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Execute");
-  }
+  });
 }
 
 int PreparedStatement::param_count() const {
@@ -201,18 +174,13 @@ Result<PreparedStatement> Session::Prepare(const std::string& text) {
 }
 
 Result<QueryResult> Session::Execute(const std::string& text) {
-  try {
+  return NoThrow("Execute", [&] {
     // Stamp this session and the command text into the thread's log
     // context for the duration: the one install for this statement
     // (Engine::Execute sees its text is already there).
     obs::ScopedLogContext log_scope{id_, text};
     return ExecuteImpl(text);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Execute: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Execute");
-  }
+  });
 }
 
 Result<QueryResult> Session::ExecuteImpl(const std::string& text) {

@@ -38,6 +38,7 @@ Status Analyzer::AnalyzeScript(Script* script) {
   has_weeks_leaf_ = false;
   has_coarser_than_weeks_leaf_ = false;
   calendar_refs_.clear();
+  inlines_ = 0;
   Scope scope;
   CALDB_RETURN_IF_ERROR(AnalyzeBody(&script->stmts, &scope));
   script->unit = finest_;
@@ -215,6 +216,7 @@ Status Analyzer::ResolveIdent(ExprPtr* node_ptr, Scope* scope) {
       inlining_.erase(name);
       CALDB_RETURN_IF_ERROR(st);
       *node_ptr = std::move(inlined);
+      ++inlines_;
       static obs::Counter* inline_counter =
           obs::Metrics().counter("caldb.opt.rewrite.inline");
       inline_counter->Increment();

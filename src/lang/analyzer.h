@@ -32,6 +32,10 @@ class Analyzer {
   /// visibility; derivation cycles are reported as errors.
   Status AnalyzeScript(Script* script);
 
+  /// Derived calendars inlined by the last AnalyzeScript (nested inlines
+  /// included).
+  int inlines() const { return inlines_; }
+
  private:
   struct Scope;
 
@@ -52,6 +56,7 @@ class Analyzer {
   bool has_weeks_leaf_ = false;
   bool has_coarser_than_weeks_leaf_ = false;
   std::map<std::string, int> calendar_refs_;
+  int inlines_ = 0;
 };
 
 }  // namespace caldb

@@ -1,6 +1,7 @@
 // CalendarSource: the interface through which the expression language
 // resolves calendar names.  The catalog module (the CALENDARS table of
-// §3.2) implements it; tests supply small in-memory sources.
+// §3.2) implements it; a null source resolves only base calendars,
+// literals, variables and `today`.
 
 #ifndef CALDB_LANG_CALENDAR_SOURCE_H_
 #define CALDB_LANG_CALENDAR_SOURCE_H_

@@ -110,23 +110,6 @@ void GenCache::Clear() {
   bytes_ = 0;
 }
 
-Result<Interval> ConvertDayWindow(const TimeSystem& ts, const Interval& days,
-                                  Granularity unit) {
-  if (unit == Granularity::kDays) return days;
-  if (FinerThan(unit, Granularity::kDays)) {
-    CALDB_ASSIGN_OR_RETURN(Interval lo,
-                           ts.GranuleToUnit(Granularity::kDays, days.lo, unit));
-    CALDB_ASSIGN_OR_RETURN(Interval hi,
-                           ts.GranuleToUnit(Granularity::kDays, days.hi, unit));
-    return Interval{lo.lo, hi.hi};
-  }
-  CALDB_ASSIGN_OR_RETURN(TimePoint lo, ts.GranuleContaining(unit, days.lo,
-                                                            Granularity::kDays));
-  CALDB_ASSIGN_OR_RETURN(TimePoint hi, ts.GranuleContaining(unit, days.hi,
-                                                            Granularity::kDays));
-  return Interval{lo, hi};
-}
-
 struct Evaluator::Frame {
   const Plan* plan = nullptr;
   const EvalOptions* opts = nullptr;
@@ -170,7 +153,8 @@ Result<ScriptValue> Evaluator::RunPlan(const Plan& plan,
   frame.depth = depth;
   frame.regs.resize(static_cast<size_t>(plan.num_registers));
   CALDB_ASSIGN_OR_RETURN(frame.window_unit,
-                         ConvertDayWindow(*ts_, opts.window_days, plan.unit));
+                         IntervalToUnit(*ts_, Granularity::kDays,
+                                        opts.window_days, plan.unit));
   ScriptValue returned;
   bool did_return = false;
   CALDB_RETURN_IF_ERROR(RunSteps(plan.steps, &frame, &returned, &did_return));
@@ -200,9 +184,10 @@ Result<Calendar> Evaluator::ReadReg(const Frame& frame, int reg,
   return *frame.regs[static_cast<size_t>(reg)];
 }
 
-Result<Interval> Evaluator::WindowFor(const PlanStep& step,
-                                      const Frame& frame) const {
-  if (!frame.opts->use_window_hints) return frame.window_unit;
+Result<std::optional<Interval>> Evaluator::WindowFor(
+    const PlanStep& step, const Frame& frame) const {
+  using Window = std::optional<Interval>;
+  if (!frame.opts->use_window_hints) return Window(frame.window_unit);
   // Window hints realize the §3.4 look-ahead: a calendar being compared
   // against an already evaluated operand is generated over that operand's
   // actual span (which may extend past the global window where a coarse
@@ -210,19 +195,16 @@ Result<Interval> Evaluator::WindowFor(const PlanStep& step,
   // like [2]/DAYS:during:WEEKS meaningful for the boundary week).
   switch (step.hint.mode) {
     case WindowHint::Mode::kNone:
-      return frame.window_unit;
+      return Window(frame.window_unit);
     case WindowHint::Mode::kSpan: {
       CALDB_ASSIGN_OR_RETURN(Calendar bound, ReadReg(frame, step.hint.reg, 0));
-      std::optional<Interval> span = bound.Span();
-      if (!span) return Status::NotFound("empty window");  // nothing to generate
-      return *span;
+      return bound.Span();  // empty operand: nothing to generate
     }
     case WindowHint::Mode::kBefore: {
       CALDB_ASSIGN_OR_RETURN(Calendar bound, ReadReg(frame, step.hint.reg, 0));
-      std::optional<Interval> span = bound.Span();
-      if (!span) return Status::NotFound("empty window");
-      TimePoint lo = std::min(frame.window_unit.lo, span->hi);
-      return Interval{lo, span->hi};
+      Window span = bound.Span();
+      if (span) span->lo = std::min(frame.window_unit.lo, span->hi);
+      return span;
     }
   }
   return Status::Internal("unknown window-hint mode");
@@ -259,13 +241,11 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
 
   switch (step.op) {
     case PlanOpCode::kGenerate: {
-      Result<Interval> window = WindowFor(step, *frame);
-      if (!window.ok()) {
-        if (window.status().code() == StatusCode::kNotFound) {
-          set(step.dst, Calendar::Order1(unit, {}));
-          return Status::OK();
-        }
-        return window.status();
+      CALDB_ASSIGN_OR_RETURN(std::optional<Interval> window,
+                             WindowFor(step, *frame));
+      if (!window) {
+        set(step.dst, Calendar::Order1(unit, {}));
+        return Status::OK();
       }
       const GenCache::Key key(static_cast<int>(step.gran_arg),
                               static_cast<int>(unit), window->lo, window->hi);
@@ -321,13 +301,11 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
       }
       CALDB_ASSIGN_OR_RETURN(Calendar values,
                              Rescale(*ts_, resolved.values, unit));
-      Result<Interval> window = WindowFor(step, *frame);
-      if (!window.ok()) {
-        if (window.status().code() == StatusCode::kNotFound) {
-          set(step.dst, Calendar::Order1(unit, {}));
-          return Status::OK();
-        }
-        return window.status();
+      CALDB_ASSIGN_OR_RETURN(std::optional<Interval> window,
+                             WindowFor(step, *frame));
+      if (!window) {
+        set(step.dst, Calendar::Order1(unit, {}));
+        return Status::OK();
       }
       // Keep whole stored elements overlapping the window.
       CALDB_ASSIGN_OR_RETURN(
@@ -349,33 +327,17 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
         return Status::EvalError("calendar '" + step.name +
                                  "' has no evaluation plan");
       }
-      EvalOptions inner_opts = *frame->opts;
-      Result<Interval> window = WindowFor(step, *frame);
-      if (window.ok()) {
-        // Convert the window back to DAYS for the nested evaluation.
-        if (unit == Granularity::kDays) {
-          inner_opts.window_days = *window;
-        } else if (FinerThan(unit, Granularity::kDays)) {
-          CALDB_ASSIGN_OR_RETURN(
-              TimePoint lo,
-              ts_->GranuleContaining(Granularity::kDays, window->lo, unit));
-          CALDB_ASSIGN_OR_RETURN(
-              TimePoint hi,
-              ts_->GranuleContaining(Granularity::kDays, window->hi, unit));
-          inner_opts.window_days = Interval{lo, hi};
-        } else {
-          CALDB_ASSIGN_OR_RETURN(
-              Interval lo, ts_->GranuleToUnit(unit, window->lo, Granularity::kDays));
-          CALDB_ASSIGN_OR_RETURN(
-              Interval hi, ts_->GranuleToUnit(unit, window->hi, Granularity::kDays));
-          inner_opts.window_days = Interval{lo.lo, hi.hi};
-        }
-      } else if (window.status().code() == StatusCode::kNotFound) {
+      CALDB_ASSIGN_OR_RETURN(std::optional<Interval> window,
+                             WindowFor(step, *frame));
+      if (!window) {
         set(step.dst, Calendar::Order1(unit, {}));
         return Status::OK();
-      } else {
-        return window.status();
       }
+      // The nested evaluation takes its window in DAYS.
+      EvalOptions inner_opts = *frame->opts;
+      CALDB_ASSIGN_OR_RETURN(
+          inner_opts.window_days,
+          IntervalToUnit(*ts_, unit, *window, Granularity::kDays));
       CALDB_ASSIGN_OR_RETURN(
           ScriptValue value,
           RunPlan(*resolved.plan, inner_opts, frame->depth + 1));
@@ -395,16 +357,13 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
 
     case PlanOpCode::kToday: {
       read_today_ = true;
-      const TimePoint today = frame->opts->today_day;
-      if (FinerThan(unit, Granularity::kDays) || unit == Granularity::kDays) {
-        CALDB_ASSIGN_OR_RETURN(Interval i,
-                               ts_->GranuleToUnit(Granularity::kDays, today, unit));
-        set(step.dst, Calendar::Singleton(unit, i));
-      } else {
-        CALDB_ASSIGN_OR_RETURN(
-            TimePoint p, ts_->GranuleContaining(unit, today, Granularity::kDays));
-        set(step.dst, Calendar::Singleton(unit, PointInterval(p)));
-      }
+      // Validated first: the same-unit conversion takes the day as is.
+      CALDB_ASSIGN_OR_RETURN(
+          Interval today,
+          MakeInterval(frame->opts->today_day, frame->opts->today_day));
+      CALDB_ASSIGN_OR_RETURN(
+          today, IntervalToUnit(*ts_, Granularity::kDays, today, unit));
+      set(step.dst, Calendar::Singleton(unit, today));
       return Status::OK();
     }
 
@@ -417,7 +376,8 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
     case PlanOpCode::kYearSelect: {
       CALDB_ASSIGN_OR_RETURN(
           Interval i,
-          ts_->GranuleToUnit(Granularity::kYears, ts_->YearIndex(step.year), unit));
+          IntervalToUnit(*ts_, Granularity::kYears,
+                         PointInterval(ts_->YearIndex(step.year)), unit));
       set(step.dst, Calendar::Singleton(unit, i));
       return Status::OK();
     }
@@ -426,8 +386,9 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
       CALDB_ASSIGN_OR_RETURN(CivilDate start, ParseCivil(step.civil_start));
       CALDB_ASSIGN_OR_RETURN(CivilDate end, ParseCivil(step.civil_end));
       CALDB_ASSIGN_OR_RETURN(Interval days, ts_->DayIntervalFromCivil(start, end));
-      CALDB_ASSIGN_OR_RETURN(Interval span,
-                             ConvertDayWindow(*ts_, days, step.unit_arg));
+      CALDB_ASSIGN_OR_RETURN(
+          Interval span,
+          IntervalToUnit(*ts_, Granularity::kDays, days, step.unit_arg));
       CALDB_ASSIGN_OR_RETURN(
           Calendar generated,
           GenerateBaseCalendar(*ts_, step.gran_arg, step.unit_arg, span,

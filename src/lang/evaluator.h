@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <list>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -161,7 +162,10 @@ class Evaluator {
                  bool* did_return);
   Status RunStepImpl(const PlanStep& step, Frame* frame, ScriptValue* returned,
                      bool* did_return);
-  Result<Interval> WindowFor(const PlanStep& step, const Frame& frame) const;
+  // The window a materializing step generates over, in plan-unit points;
+  // empty when its hint operand is empty (nothing to generate).
+  Result<std::optional<Interval>> WindowFor(const PlanStep& step,
+                                            const Frame& frame) const;
   Result<Calendar> ReadReg(const Frame& frame, int reg, int line_hint) const;
 
   const TimeSystem* ts_;
@@ -181,10 +185,6 @@ class Evaluator {
   uint64_t gen_cache_version_ = 0;
   bool read_today_ = false;  // see read_today()
 };
-
-/// Converts a DAYS window to a covering window in `unit` points.
-Result<Interval> ConvertDayWindow(const TimeSystem& ts, const Interval& days,
-                                  Granularity unit);
 
 }  // namespace caldb
 

@@ -150,10 +150,6 @@ struct Plan {
   // Every calendar in the plan is expressed in this unit (the script's
   // smallest time unit, §3.4).
   Granularity unit = Granularity::kDays;
-  // Informational: the base-calendar granularities this plan materializes
-  // (useful for tooling and cost inspection; evaluation itself derives
-  // windows dynamically from operand spans).
-  std::vector<Granularity> generated_granularities;
   // Filled by next-fire lookups on a const plan (rules hold their plans
   // as shared_ptr<const Plan>).
   mutable NextFireMemo next_fire_memo;

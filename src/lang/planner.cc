@@ -1,7 +1,6 @@
 #include "lang/planner.h"
 
 #include <map>
-#include <set>
 
 #include "common/macros.h"
 #include "obs/obs.h"
@@ -20,7 +19,6 @@ class Planner {
     plan.unit = script_.unit;
     CALDB_RETURN_IF_ERROR(CompileBody(script_.stmts, &plan.steps));
     plan.num_registers = next_reg_;
-    plan.generated_granularities.assign(generated_.begin(), generated_.end());
     return plan;
   }
 
@@ -111,7 +109,6 @@ class Planner {
         step.op = PlanOpCode::kYearSelect;
         step.dst = NewReg();
         step.year = e.year;
-        generated_.insert(Granularity::kYears);
         out->push_back(step);
         return step.dst;
       }
@@ -194,7 +191,6 @@ class Planner {
         step.gran_arg = e.sem_granularity;
         step.name = std::string(GranularityName(e.sem_granularity));
         step.hint = hint;
-        generated_.insert(e.sem_granularity);
         out->push_back(step);
         return step.dst;
       }
@@ -258,7 +254,6 @@ class Planner {
   const Script& script_;
   int next_reg_ = 0;
   std::map<std::string, int> vars_;
-  std::set<Granularity> generated_;
 };
 
 }  // namespace

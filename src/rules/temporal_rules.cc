@@ -9,15 +9,10 @@ namespace {
 constexpr char kRuleInfoTable[] = "RULE_INFO";
 constexpr char kRuleTimeTable[] = "RULE_TIME";
 
-// Compiles the action command and condition query of a rule being
-// declared or restored, filling the rule's handles.  Fail-fast contract:
-// an action or condition that does not parse (or a condition that is not
-// a retrieve) is an error at declaration time, never at first firing.
-//
-// Either statement may reference $1 — FireRule binds it to the firing day
-// (the parameterized sibling of the fire_day() function, and the path a
-// bind-at-execute client would take).  Higher placeholders are rejected
-// here: a firing supplies exactly one value.
+// Either statement of a rule may reference $1 — FireRule binds it to the
+// firing day (the parameterized sibling of the fire_day() function, and
+// the path a bind-at-execute client would take).  Higher placeholders are
+// rejected at declaration: a firing supplies exactly one value.
 Status CheckRuleParams(const std::string& name, const char* part,
                        const CompiledStatement& compiled) {
   if (compiled.param_count > 1) {
@@ -30,20 +25,42 @@ Status CheckRuleParams(const std::string& name, const char* part,
   return Status::OK();
 }
 
-Status CompileRuleStatements(const std::string& name, TemporalRule* rule) {
-  if (!rule->action.command.empty()) {
+// Builds a rule being declared or restored: its calendar expression
+// compiled with the §3.4 algorithm (inlining, factorization, planning),
+// its action command and condition query compiled to handles.  Fail-fast
+// contract: an expression, action or condition that does not parse (or a
+// condition that is not a retrieve) is an error at declaration time,
+// never at first firing.  `verb` names the caller in an expression error
+// ("declaring temporal rule 'x'").
+Result<TemporalRule> BuildRule(const CalendarCatalog& catalog, const char* verb,
+                               const std::string& name,
+                               const std::string& expression,
+                               TemporalAction action,
+                               const std::string& condition_query) {
+  Result<Plan> plan = catalog.CompileScriptText(expression);
+  if (!plan.ok()) {
+    return plan.status().WithContext(std::string(verb) + " temporal rule '" +
+                                     name + "'");
+  }
+  TemporalRule rule;
+  rule.name = name;
+  rule.expression = expression;
+  rule.plan = std::make_shared<const Plan>(std::move(plan).value());
+  rule.action = std::move(action);
+  rule.condition_query = condition_query;
+  if (!rule.action.command.empty()) {
     Result<CompiledStatementPtr> command =
-        CompileStatement(rule->action.command);
+        CompileStatement(rule.action.command);
     if (!command.ok()) {
       return command.status().WithContext("temporal rule '" + name +
                                           "' action does not parse");
     }
     CALDB_RETURN_IF_ERROR(CheckRuleParams(name, "action", **command));
-    rule->compiled_command = *std::move(command);
+    rule.compiled_command = *std::move(command);
   }
-  if (!rule->condition_query.empty()) {
+  if (!rule.condition_query.empty()) {
     Result<CompiledStatementPtr> condition =
-        CompileStatement(rule->condition_query);
+        CompileStatement(rule.condition_query);
     if (!condition.ok()) {
       return condition.status().WithContext("temporal rule '" + name +
                                             "' condition does not parse");
@@ -53,9 +70,9 @@ Status CompileRuleStatements(const std::string& name, TemporalRule* rule) {
                                      "' condition must be a retrieve");
     }
     CALDB_RETURN_IF_ERROR(CheckRuleParams(name, "condition", **condition));
-    rule->compiled_condition = *std::move(condition);
+    rule.compiled_condition = *std::move(condition);
   }
-  return Status::OK();
+  return rule;
 }
 
 }  // namespace
@@ -115,22 +132,9 @@ Result<int64_t> TemporalRuleManager::DeclareRule(
   if (!action.callback && action.command.empty()) {
     return Status::InvalidArgument("temporal rule '" + name + "' has no action");
   }
-  // Parse the calendar expression with the §3.4 algorithm (inlining,
-  // factorization, planning).
-  Result<Plan> plan = catalog_->CompileScriptText(expression);
-  if (!plan.ok()) {
-    return plan.status().WithContext("declaring temporal rule '" + name + "'");
-  }
-
-  TemporalRule rule;
-  rule.name = name;
-  rule.expression = expression;
-  rule.plan = std::make_shared<const Plan>(std::move(plan).value());
-  rule.action = std::move(action);
-  rule.condition_query = condition_query;
-  // Compile the action and condition once, here — declaration rejects
-  // text that cannot parse, and firings execute the handles.
-  CALDB_RETURN_IF_ERROR(CompileRuleStatements(name, &rule));
+  CALDB_ASSIGN_OR_RETURN(TemporalRule rule,
+                         BuildRule(*catalog_, "declaring", name, expression,
+                                   std::move(action), condition_query));
   rule.id = next_id_++;
 
   // First firing strictly after `now_day`.
@@ -177,18 +181,10 @@ Status TemporalRuleManager::RestoreRule(int64_t id, const std::string& name,
     return Status::AlreadyExists("temporal rule id " + std::to_string(id) +
                                  " already restored");
   }
-  Result<Plan> plan = catalog_->CompileScriptText(expression);
-  if (!plan.ok()) {
-    return plan.status().WithContext("restoring temporal rule '" + name + "'");
-  }
-  TemporalRule rule;
+  CALDB_ASSIGN_OR_RETURN(TemporalRule rule,
+                         BuildRule(*catalog_, "restoring", name, expression,
+                                   std::move(action), condition_query));
   rule.id = id;
-  rule.name = name;
-  rule.expression = expression;
-  rule.plan = std::make_shared<const Plan>(std::move(plan).value());
-  rule.action = std::move(action);
-  rule.condition_query = condition_query;
-  CALDB_RETURN_IF_ERROR(CompileRuleStatements(name, &rule));
   rules_[id] = std::move(rule);
   SetNextId(id + 1);
   return Status::OK();

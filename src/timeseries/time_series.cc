@@ -27,8 +27,8 @@ Status RegularTimeSeries::EnsureIntervals(size_t count) const {
     std::vector<Interval> days;
     for (const Interval& i : flat.intervals()) {
       CALDB_ASSIGN_OR_RETURN(
-          Interval d, IntervalToDays(catalog_->time_system(),
-                                     flat.granularity(), i));
+          Interval d, IntervalToUnit(catalog_->time_system(),
+                                     flat.granularity(), i, Granularity::kDays));
       if (d.hi < anchor_day_) continue;
       days.push_back(d);
     }

@@ -109,7 +109,8 @@ TEST_P(NextFireConsistency, MatchesEvaluation) {
     // Reference: the smallest covered day > after in the evaluation.
     std::optional<TimePoint> want;
     for (const Interval& i : flat.intervals()) {
-      Interval days = IntervalToDays(catalog.time_system(), flat.granularity(), i)
+      Interval days = IntervalToUnit(catalog.time_system(), flat.granularity(),
+                                     i, Granularity::kDays)
                           .value();
       if (days.hi <= after) continue;
       TimePoint candidate = days.lo > after ? days.lo : PointAdd(after, 1);

@@ -2,6 +2,7 @@
 // event-rule system of §4.
 
 #include "db/database.h"
+#include "tests/db/db_counters.h"
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@ class DatabaseTest : public ::testing::Test {
   }
 
   Database db_;
+  DbCounterDeltas counts_;
 };
 
 TEST_F(DatabaseTest, CreateInsertRetrieve) {
@@ -110,23 +112,23 @@ TEST_F(DatabaseTest, IndexAcceleratesEqualityAndRange) {
     Exec("append events (day = " + std::to_string(d) + ", what = 'x')");
   }
   Exec("create index on events (day)");
-  db_.ResetStats();
+  counts_.Reset();
   QueryResult r = Query(
       "retrieve (e.day) from e in events where e.day >= 10 and e.day <= 12");
   EXPECT_EQ(r.rows.size(), 3u);
-  EXPECT_EQ(db_.stats().index_scans, 1);
-  EXPECT_EQ(db_.stats().full_scans, 0);
-  EXPECT_EQ(db_.stats().rows_scanned, 3);  // only the indexed range
+  EXPECT_EQ(counts_.index_scans(), 1);
+  EXPECT_EQ(counts_.full_scans(), 0);
+  EXPECT_EQ(counts_.rows_scanned(), 3);  // only the indexed range
 
-  db_.ResetStats();
+  counts_.Reset();
   Query("retrieve (e.day) from e in events where e.what = 'x' and e.day = 5");
-  EXPECT_EQ(db_.stats().index_scans, 1);
-  EXPECT_EQ(db_.stats().rows_scanned, 1);  // residual filter on 1 row
+  EXPECT_EQ(counts_.index_scans(), 1);
+  EXPECT_EQ(counts_.rows_scanned(), 1);  // residual filter on 1 row
 
-  db_.ResetStats();
+  counts_.Reset();
   Query("retrieve (e.day) from e in events where e.what = 'x'");
-  EXPECT_EQ(db_.stats().full_scans, 1);
-  EXPECT_EQ(db_.stats().rows_scanned, 1000);
+  EXPECT_EQ(counts_.full_scans(), 1);
+  EXPECT_EQ(counts_.rows_scanned(), 1000);
 }
 
 TEST_F(DatabaseTest, AppendRuleFires) {
@@ -142,7 +144,7 @@ TEST_F(DatabaseTest, AppendRuleFires) {
   QueryResult alerts = Query("retrieve (a.student) from a in alerts");
   ASSERT_EQ(alerts.rows.size(), 1u);
   EXPECT_EQ(alerts.rows[0][0].AsText().value(), "ann");
-  EXPECT_EQ(db_.stats().rules_fired, 1);
+  EXPECT_EQ(counts_.rules_fired(), 1);
 }
 
 TEST_F(DatabaseTest, DeleteAndReplaceRulesSeeCurrent) {

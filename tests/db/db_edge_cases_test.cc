@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "tests/db/db_counters.h"
 
 namespace caldb {
 namespace {
@@ -23,6 +24,7 @@ class DbEdgeCases : public ::testing::Test {
     return r.value_or(QueryResult{});
   }
   Database db_;
+  DbCounterDeltas counts_;
 };
 
 TEST_F(DbEdgeCases, NullsInAggregates) {
@@ -80,17 +82,17 @@ TEST_F(DbEdgeCases, ReplaceAndDeleteUseIndexes) {
     Exec("append t (day = " + std::to_string(d) + ", v = 0)");
   }
   Exec("create index on t (day)");
-  db_.ResetStats();
+  counts_.Reset();
   Exec("replace x in t (v = 1) where x.day = 50");
-  EXPECT_EQ(db_.stats().index_scans, 1);
-  EXPECT_EQ(db_.stats().rows_scanned, 1);
-  db_.ResetStats();
+  EXPECT_EQ(counts_.index_scans(), 1);
+  EXPECT_EQ(counts_.rows_scanned(), 1);
+  counts_.Reset();
   Exec("delete x in t where x.day >= 90 and x.day <= 95");
-  EXPECT_EQ(db_.stats().index_scans, 1);
+  EXPECT_EQ(counts_.index_scans(), 1);
   QueryResult count = Query("retrieve (count(x.day) as n) from x in t");
   EXPECT_EQ(count.rows[0][0].AsInt().value(), 94);
   // The index stays consistent after deletes.
-  db_.ResetStats();
+  counts_.Reset();
   QueryResult gone = Query("retrieve (x.day) from x in t where x.day = 92");
   EXPECT_TRUE(gone.rows.empty());
 }

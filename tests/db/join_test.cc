@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "tests/db/db_counters.h"
 
 namespace caldb {
 namespace {
@@ -33,6 +34,7 @@ class JoinTest : public ::testing::Test {
   }
 
   Database db_;
+  DbCounterDeltas counts_;
 };
 
 TEST_F(JoinTest, ThePaperUniversityQuery) {
@@ -91,25 +93,25 @@ TEST_F(JoinTest, IndexAcceleratesOuterTable) {
     Exec("append events (day = " + std::to_string(d) + ", what = 'e')");
   }
   Exec("create index on events (day)");
-  db_.ResetStats();
+  counts_.Reset();
   QueryResult r = Query(
       "retrieve (e.day, s.name) from e in events, s in students "
       "where e.day = 42 and s.foreign_student = true");
   EXPECT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(db_.stats().index_scans, 1);
+  EXPECT_EQ(counts_.index_scans(), 1);
   // The outer scan touched only the indexed row; the inner table scanned
   // once per outer match.
-  EXPECT_EQ(db_.stats().rows_scanned, 1 + 3);
+  EXPECT_EQ(counts_.rows_scanned(), 1 + 3);
 }
 
 TEST_F(JoinTest, PushdownFiltersEarly) {
-  db_.ResetStats();
+  counts_.Reset();
   Query(
       "retrieve (s.name, w.hours) from s in students, w in work "
       "where s.foreign_student = true and s.name = w.name");
   // students scanned once (3 rows); work scanned once per surviving
   // student (2 x 4): carol is filtered before the inner loop runs.
-  EXPECT_EQ(db_.stats().rows_scanned, 3 + 2 * 4);
+  EXPECT_EQ(counts_.rows_scanned(), 3 + 2 * 4);
 }
 
 TEST_F(JoinTest, DuplicateRangeVariableRejected) {

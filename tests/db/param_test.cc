@@ -10,6 +10,7 @@
 
 #include "common/macros.h"
 #include "db/database.h"
+#include "tests/db/db_counters.h"
 
 namespace caldb {
 namespace {
@@ -163,15 +164,14 @@ TEST(ParamBind, BoundPlaceholderDrivesIndexScan) {
   ASSERT_TRUE(db.Execute("create index on t (x)").ok());
   auto c = CompileStatement("retrieve (t.s) from t in t where t.x = $1");
   ASSERT_TRUE(c.ok()) << c.status().ToString();
-  db.ResetStats();
+  DbCounterDeltas counts;
   ParamList params = {Value::Int(2)};
   auto rows = BindAndRun(db, **c, &params);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->rows.size(), 1u);
-  Database::Stats stats = db.stats();
-  EXPECT_EQ(stats.index_scans, 1);
-  EXPECT_EQ(stats.full_scans, 0);
-  EXPECT_EQ(stats.rows_scanned, 1);  // the range probe, not the table
+  EXPECT_EQ(counts.index_scans(), 1);
+  EXPECT_EQ(counts.full_scans(), 0);
+  EXPECT_EQ(counts.rows_scanned(), 1);  // the range probe, not the table
 }
 
 TEST(ParamBind, UnboundExecutionFailsUpFront) {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,6 +84,32 @@ TEST(EngineFacadeTest, StopIsIdempotentAndFailsFurtherAdvances) {
   EXPECT_FALSE(f.get().ok());
   // Synchronous Execute keeps working after Stop (single-threaded mode).
   EXPECT_TRUE(session->Execute("create table t (x int)").ok());
+}
+
+// The no-throw contract covers DBCRON: a firing whose callback throws
+// ends the advance with kInternal instead of terminating the process, and
+// the engine keeps serving statements afterwards.
+TEST(EngineFacadeTest, ThrowingRuleCallbackSurfacesAsInternal) {
+  auto engine = Engine::Create().value();
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(session->Execute("create table t (x int)").ok());
+  TemporalAction action;
+  action.callback = [](TimePoint) -> Status {
+    throw std::runtime_error("callback bug");
+  };
+  ASSERT_TRUE(
+      engine->DeclareRule("thrower", "[2]/DAYS:during:WEEKS", std::move(action))
+          .ok());
+  Status advanced = engine->AdvanceTo(30);
+  EXPECT_EQ(advanced.code(), StatusCode::kInternal);
+  EXPECT_NE(advanced.message().find(
+                "uncaught exception in AdvanceTo: callback bug"),
+            std::string::npos)
+      << advanced.ToString();
+  EXPECT_TRUE(session->Execute("append t (x = 1)").ok());
+  EXPECT_EQ(RowCount(MustOk(session->Execute("retrieve (t.x) from t in t"))),
+            1);
+  EXPECT_TRUE(session->Execute("drop temporal rule thrower").ok());
 }
 
 TEST(EngineFacadeTest, ExecuteBatchPreservesOrder) {

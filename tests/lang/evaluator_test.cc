@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/calendar_catalog.h"
+#include "core/generate.h"
 #include "lang/ast.h"
 
 namespace caldb {
@@ -28,24 +29,105 @@ class EvaluatorTest : public ::testing::Test {
   CalendarCatalog catalog_;
 };
 
-TEST_F(EvaluatorTest, ConvertDayWindowRoundTrips) {
+TEST_F(EvaluatorTest, DayWindowToUnitRoundTrips) {
   TimeSystem ts{CivilDate{1993, 1, 1}};
-  auto days = ConvertDayWindow(ts, {1, 365}, Granularity::kDays);
+  auto to_unit = [&](Interval days, Granularity unit) {
+    return IntervalToUnit(ts, Granularity::kDays, days, unit);
+  };
+  auto days = to_unit({1, 365}, Granularity::kDays);
   ASSERT_TRUE(days.ok());
   EXPECT_EQ(*days, (Interval{1, 365}));
-  auto months = ConvertDayWindow(ts, {1, 365}, Granularity::kMonths);
+  auto months = to_unit({1, 365}, Granularity::kMonths);
   ASSERT_TRUE(months.ok());
   EXPECT_EQ(*months, (Interval{1, 12}));
-  auto weeks = ConvertDayWindow(ts, {1, 31}, Granularity::kWeeks);
+  auto weeks = to_unit({1, 31}, Granularity::kWeeks);
   ASSERT_TRUE(weeks.ok());
   EXPECT_EQ(*weeks, (Interval{1, 5}));
-  auto hours = ConvertDayWindow(ts, {1, 2}, Granularity::kHours);
+  auto hours = to_unit({1, 2}, Granularity::kHours);
   ASSERT_TRUE(hours.ok());
   EXPECT_EQ(*hours, (Interval{1, 48}));
   // Windows before the epoch.
-  auto neg = ConvertDayWindow(ts, {-31, -1}, Granularity::kMonths);
+  auto neg = to_unit({-31, -1}, Granularity::kMonths);
   ASSERT_TRUE(neg.ok());
   EXPECT_EQ(*neg, (Interval{-1, -1}));  // December 1992
+}
+
+// `today` converts DAYS to the script's unit, and an invoked derived
+// calendar's window converts the script's unit back to DAYS.  Each runs in
+// a script whose unit is finer than DAYS (HOURS) and in one coarser
+// (MONTHS), on windows before, across and after the skip-zero epoch; the
+// [1]/[n] selections pin both endpoints of the converted day.
+TEST_F(EvaluatorTest, TodayAndInvokedCalendarsAcrossUnitsAndEpoch) {
+  // Multi-statement derivations are invoked at run time, never inlined.
+  ASSERT_TRUE(catalog_
+                  .DefineDerived("FIRSTS",
+                                 "{t = DAYS:during:MONTHS; return [1]/t;}")
+                  .ok());
+  ASSERT_TRUE(catalog_
+                  .DefineDerived("JANUARIES",
+                                 "{m = MONTHS:during:YEARS; return [1]/m;}")
+                  .ok());
+  struct Case {
+    const char* script;
+    Interval window;
+    TimePoint today;
+    Granularity unit;
+    const char* want;
+  };
+  const Case cases[] = {
+      {"[1]/HOURS:during:today", {-40, 40}, -10, Granularity::kHours,
+       "{(-240,-240)}"},
+      {"[n]/HOURS:during:today", {-40, 40}, -10, Granularity::kHours,
+       "{(-217,-217)}"},
+      {"[1]/HOURS:during:today", {-40, 40}, 10, Granularity::kHours,
+       "{(217,217)}"},
+      {"[n]/HOURS:during:today", {-40, 40}, 10, Granularity::kHours,
+       "{(240,240)}"},
+      {"[1]/HOURS:during:today", {-400, -300}, -350, Granularity::kHours,
+       "{(-8400,-8400)}"},
+      {"[n]/HOURS:during:today", {-400, -300}, -350, Granularity::kHours,
+       "{(-8377,-8377)}"},
+      {"MONTHS:overlaps:today", {-40, 40}, -10, Granularity::kMonths,
+       "{(-1,-1)}"},
+      {"MONTHS:overlaps:today", {-40, 40}, 10, Granularity::kMonths, "{(1,1)}"},
+      {"MONTHS:overlaps:today", {-400, -300}, -350, Granularity::kMonths,
+       "{(-12,-12)}"},
+      {"[1]/HOURS:during:FIRSTS", {-70, 70}, 1, Granularity::kHours,
+       "{(-2208,-2208),(-1464,-1464),(-744,-744),(1,1),(745,745),(1417,1417)}"},
+      {"[1]/HOURS:during:FIRSTS", {-400, -300}, 1, Granularity::kHours,
+       "{(-10248,-10248),(-9528,-9528),(-8784,-8784),(-8040,-8040),"
+       "(-7344,-7344)}"},
+      {"[1]/HOURS:during:FIRSTS", {300, 400}, 1, Granularity::kHours,
+       "{(6553,6553),(7297,7297),(8017,8017),(8761,8761),(9505,9505)}"},
+      {"JANUARIES", {-400, 400}, 1, Granularity::kMonths,
+       "{(-24,-24),(-12,-12),(1,1),(13,13)}"},
+      {"JANUARIES", {-800, -400}, 1, Granularity::kMonths,
+       "{(-36,-36),(-24,-24)}"},
+      {"JANUARIES:during:YEARS", {-40, 800}, 1, Granularity::kMonths,
+       "{{(-12,-12)},{(1,1)},{(13,13)},{(25,25)}}"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.script);
+    ScriptValue v = Eval(c.script, c.window, c.today);
+    ASSERT_EQ(v.kind, ScriptValue::Kind::kCalendar);
+    EXPECT_EQ(v.calendar.granularity(), c.unit);
+    EXPECT_EQ(v.calendar.ToString(), c.want)
+        << "window (" << c.window.lo << "," << c.window.hi << ") today "
+        << c.today;
+  }
+}
+
+TEST_F(EvaluatorTest, TodayAtTheMissingPointZeroIsAnError) {
+  // Point 0 does not exist: `today` there is an error in every unit,
+  // DAYS included, where no conversion runs.
+  for (const char* script : {"today", "HOURS:during:today",
+                             "MONTHS:overlaps:today"}) {
+    EvalOptions opts;
+    opts.today_day = 0;
+    auto value = catalog_.EvaluateScript(script, opts);
+    ASSERT_FALSE(value.ok()) << script;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument) << script;
+  }
 }
 
 TEST_F(EvaluatorTest, SubDayScript) {

@@ -58,12 +58,16 @@ if [[ "$run_asan" == 1 ]]; then
   # the literal lifter turns that text into bind lists.  The foreach
   # kernel's run and slice index arithmetic lives in the sweep.h template,
   # so the algebra, calendar and paper-example suites that instantiate it
-  # run here too.
+  # run here too.  Every granule conversion between units (windows,
+  # `today`, rescaling, next-fire anchors) runs through IntervalToUnit,
+  # whose skip-zero point arithmetic the evaluator, next-fire and
+  # granularity-sweep suites drive on both sides of the epoch.
   ubsan_dir="$repo_root/build-ubsan"
   ubsan_tests=(sweep_test calendar_rep_test algebra_test calendar_test
                foreach_paper_examples_test lexer_test parser_test query_test
                pattern_test random_expression_test front_end_fuzz_test
-               literal_lifting_test)
+               literal_lifting_test evaluator_test next_fire_test
+               granularity_sweep_test)
   cmake -B "$ubsan_dir" -S "$repo_root" -DCALDB_SANITIZE=undefined
   cmake --build "$ubsan_dir" -j "$(nproc)" --target "${ubsan_tests[@]}"
   ubsan_regex="^($(IFS='|'; echo "${ubsan_tests[*]}"))\$"
