@@ -31,6 +31,14 @@ struct CatalogMetrics {
       obs::Metrics().counter("caldb.catalog.next_fire_memo.hits");
   obs::Counter* next_fire_memo_misses =
       obs::Metrics().counter("caldb.catalog.next_fire_memo.misses");
+  obs::Counter* plan_cache_hits =
+      obs::Metrics().counter("caldb.catalog.plan_cache.hits");
+  obs::Counter* plan_cache_misses =
+      obs::Metrics().counter("caldb.catalog.plan_cache.misses");
+  obs::Counter* plan_cache_evictions =
+      obs::Metrics().counter("caldb.catalog.plan_cache.evictions");
+  obs::Gauge* plan_cache_size =
+      obs::Metrics().gauge("caldb.catalog.plan_cache.size");
 };
 
 CatalogMetrics& Metrics() {
@@ -85,12 +93,7 @@ Status CalendarCatalog::DefineDerived(const std::string& name,
     CALDB_RETURN_IF_ERROR(CheckNameFreeLocked(name));
     defs_[name] = std::move(def);
   }
-  // Version bump before the clear: a racing miss that evaluated against
-  // the pre-define catalog inserts under the old version, where no
-  // post-define lookup can find it.
-  version_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  eval_cache_.clear();
+  BumpVersionAndClearCaches();
   return Status::OK();
 }
 
@@ -111,13 +114,9 @@ Status CalendarCatalog::DefineValues(const std::string& name, Calendar values,
     defs_[name] = std::move(def);
   }
   // A new values calendar changes what derived plans referencing the name
-  // evaluate to (the reference was dangling until now): same bump + clear
-  // discipline as the other mutators.  Pre-PR-10 this path cleared
-  // nothing, which left a Drop+DefineValues redefinition able to revive a
-  // stale racing insert.
-  version_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  eval_cache_.clear();
+  // evaluate to (the reference was dangling until now), so it bumps and
+  // clears like the other mutators.
+  BumpVersionAndClearCaches();
   return Status::OK();
 }
 
@@ -128,10 +127,23 @@ Status CalendarCatalog::Drop(const std::string& name) {
       return Status::NotFound("calendar '" + name + "' does not exist");
     }
   }
-  version_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  eval_cache_.clear();
+  BumpVersionAndClearCaches();
   return Status::OK();
+}
+
+void CalendarCatalog::BumpVersionAndClearCaches() {
+  // Version bump before the clears: a racing miss that evaluated or
+  // compiled against the old catalog inserts under the old version, where
+  // no later lookup can find it.
+  version_.fetch_add(1, std::memory_order_acq_rel);
+  {
+    std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    eval_cache_.clear();
+  }
+  std::lock_guard<std::mutex> plan_lock(plan_cache_mu_);
+  plan_cache_.clear();
+  plan_lru_.clear();
+  Metrics().plan_cache_size->Set(0);
 }
 
 bool CalendarCatalog::Contains(const std::string& name) const {
@@ -298,9 +310,52 @@ Result<Calendar> CalendarCatalog::EvaluateCalendar(const std::string& name,
 Result<ScriptValue> CalendarCatalog::EvaluateScript(
     const std::string& script_text, const EvalOptions& opts,
     EvalStats* stats) const {
-  CALDB_ASSIGN_OR_RETURN(Plan plan, CompileScriptText(script_text));
+  CALDB_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan,
+                         CachedPlan(script_text));
   Evaluator evaluator(&time_system_, this);
-  return evaluator.Run(plan, opts, stats);
+  return evaluator.Run(*plan, opts, stats);
+}
+
+Result<std::shared_ptr<const Plan>> CalendarCatalog::CachedPlan(
+    const std::string& script_text) const {
+  // Read before the lookup and the compile, as in EvaluateCalendar: a plan
+  // compiled while a Define*/Drop lands is filed under the old version.
+  const uint64_t version_at_lookup = version();
+  {
+    std::lock_guard<std::mutex> lock(plan_cache_mu_);
+    auto it = plan_cache_.find(script_text);
+    if (it != plan_cache_.end() && it->second.version == version_at_lookup) {
+      Metrics().plan_cache_hits->Increment();
+      plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru);
+      return it->second.plan;
+    }
+  }
+  // Compile unlocked: a slow compile must not stall the sessions that hit.
+  Metrics().plan_cache_misses->Increment();
+  CALDB_ASSIGN_OR_RETURN(Plan compiled, CompileScriptText(script_text));
+  auto plan = std::make_shared<const Plan>(std::move(compiled));
+  std::lock_guard<std::mutex> lock(plan_cache_mu_);
+  auto [it, inserted] = plan_cache_.try_emplace(script_text);
+  PlanCacheEntry& entry = it->second;
+  if (inserted) {
+    plan_lru_.push_front(&it->first);
+    entry.lru = plan_lru_.begin();
+  } else {
+    plan_lru_.splice(plan_lru_.begin(), plan_lru_, entry.lru);
+    // A racing compile under the same or a later version got here first:
+    // share its plan.
+    if (entry.version >= version_at_lookup) return entry.plan;
+  }
+  entry.version = version_at_lookup;
+  entry.plan = plan;
+  while (plan_cache_.size() > kPlanCacheCapacity) {
+    auto victim = plan_cache_.find(*plan_lru_.back());
+    plan_lru_.pop_back();
+    plan_cache_.erase(victim);
+    Metrics().plan_cache_evictions->Increment();
+  }
+  Metrics().plan_cache_size->Set(static_cast<int64_t>(plan_cache_.size()));
+  return plan;
 }
 
 namespace {

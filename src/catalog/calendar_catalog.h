@@ -13,12 +13,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -96,10 +98,22 @@ class CalendarCatalog : public CalendarSource {
                                     const EvalOptions& opts,
                                     EvalStats* stats = nullptr) const;
 
-  /// Parses, analyzes, factorizes, compiles and runs an ad-hoc script.
+  /// Runs an ad-hoc script, its plan looked up through CachedPlan.
   Result<ScriptValue> EvaluateScript(const std::string& script_text,
                                      const EvalOptions& opts,
                                      EvalStats* stats = nullptr) const;
+
+  /// The compiled plan of an ad-hoc script, from the catalog's plan cache:
+  /// a bounded LRU (kPlanCacheCapacity entries) keyed on the script text.
+  /// Each entry keeps the version() read before its compile, and a lookup
+  /// under any other version misses and recompiles, so a plan that inlined
+  /// an older definition is never served.  A miss compiles through
+  /// CompileScriptText; compile errors are returned and never cached.
+  /// Plans are immutable once cached and shared by every caller.
+  Result<std::shared_ptr<const Plan>> CachedPlan(
+      const std::string& script_text) const;
+
+  static constexpr size_t kPlanCacheCapacity = 512;
 
   /// Compiles a script without running it: the §3.4 pipeline (parse,
   /// analyze with inlining, factorize, plan).  Every compile in the
@@ -160,6 +174,10 @@ class CalendarCatalog : public CalendarSource {
   // Requires mu_ held (either mode); callers lock.
   Status CheckNameFreeLocked(const std::string& name) const;
 
+  // The tail of every Define*/Drop: bumps version_, then clears the eval
+  // cache and the plan cache.
+  void BumpVersionAndClearCaches();
+
   TimeSystem time_system_;
 
   // Thread safety: the catalog is shared by every Session of an Engine, so
@@ -192,6 +210,19 @@ class CalendarCatalog : public CalendarSource {
   mutable std::map<std::tuple<std::string, uint64_t, TimePoint, TimePoint>,
                    Calendar>
       eval_cache_;
+  // The plan cache (CachedPlan).  `plan_cache_mu_` guards the map and its
+  // LRU list, whose entries point at the map's keys; it is a leaf lock,
+  // never held across a compile.  Entries follow the same bump-then-clear
+  // rule as eval_cache_: an entry inserted by a compile that raced a
+  // Define*/Drop carries the pre-mutation version and always misses.
+  struct PlanCacheEntry {
+    uint64_t version = 0;
+    std::shared_ptr<const Plan> plan;
+    std::list<const std::string*>::iterator lru;
+  };
+  mutable std::mutex plan_cache_mu_;
+  mutable std::unordered_map<std::string, PlanCacheEntry> plan_cache_;
+  mutable std::list<const std::string*> plan_lru_;  // front = most recent
 };
 
 }  // namespace caldb

@@ -219,22 +219,47 @@ void ResolvePositions(const std::vector<SelectionItem>& predicate,
   }
 }
 
-}  // namespace
+// The one zero-based position a lone `[k]`, `[-k]` or `[n]` picks among
+// `count` elements, or -1 when it is out of range (never wrapped): the
+// arithmetic ResolvePositions does for such a predicate, without the
+// position list.
+int64_t SinglePosition(const SelectionItem& item, size_t count) {
+  const int64_t n = static_cast<int64_t>(count);
+  const int64_t pos = item.kind == SelectionItem::Kind::kLast ? n - 1
+                      : item.index > 0                        ? item.index - 1
+                                                              : n + item.index;
+  return pos >= 0 && pos < n ? pos : -1;
+}
 
-Result<Calendar> Select(const std::vector<SelectionItem>& predicate,
-                        const Calendar& c) {
+// Select, with the predicate classified once: a lone index or `n` picks
+// its position per group by SinglePosition, anything else resolves the
+// whole predicate per group.  `general` forces the second path.
+Result<Calendar> SelectImpl(const std::vector<SelectionItem>& predicate,
+                            const Calendar& c, bool general) {
   if (predicate.empty()) {
     return Status::InvalidArgument("empty selection predicate");
   }
   CALDB_RETURN_IF_ERROR(ValidateSelection(predicate));
+  const bool single = !general && predicate.size() == 1 &&
+                      predicate[0].kind != SelectionItem::Kind::kRange;
   std::vector<size_t> positions;
+  // Calls pick(pos) for each selected position of a `count`-element group.
+  auto for_each_position = [&](size_t count, auto&& pick) {
+    if (single) {
+      const int64_t pos = SinglePosition(predicate[0], count);
+      if (pos >= 0) pick(static_cast<size_t>(pos));
+      return;
+    }
+    ResolvePositions(predicate, count, &positions);
+    for (size_t pos : positions) pick(pos);
+  };
   // Order 1 picks intervals; order 2 picks the selected intervals of each
   // order-1 group and splices them together into an order-1 result.
   if (c.order() <= 2) {
     std::vector<Interval> out;
     c.ForEachLeafGroup([&](size_t, IntervalSpan group) {
-      ResolvePositions(predicate, group.size(), &positions);
-      for (size_t pos : positions) out.push_back(group[pos]);
+      for_each_position(group.size(),
+                        [&](size_t pos) { out.push_back(group[pos]); });
     });
     return Calendar::Order1(c.granularity(), std::move(out));
   }
@@ -243,12 +268,29 @@ Result<Calendar> Select(const std::vector<SelectionItem>& predicate,
   std::vector<Calendar> out_children;
   for (size_t i = 0; i < c.size(); ++i) {
     const Calendar child = c.child(i);
-    ResolvePositions(predicate, child.size(), &positions);
-    for (size_t pos : positions) out_children.push_back(child.child(pos));
+    for_each_position(child.size(), [&](size_t pos) {
+      out_children.push_back(child.child(pos));
+    });
   }
   return Calendar::Nested(c.granularity(), std::move(out_children),
                           /*order_if_empty=*/c.order() - 1);
 }
+
+}  // namespace
+
+Result<Calendar> Select(const std::vector<SelectionItem>& predicate,
+                        const Calendar& c) {
+  return SelectImpl(predicate, c, /*general=*/false);
+}
+
+namespace naive {
+
+Result<Calendar> Select(const std::vector<SelectionItem>& predicate,
+                        const Calendar& c) {
+  return SelectImpl(predicate, c, /*general=*/true);
+}
+
+}  // namespace naive
 
 Result<Calendar> Union(const Calendar& a, const Calendar& b) {
   CALDB_RETURN_IF_ERROR(RequireOrder1(a, "union"));

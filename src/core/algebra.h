@@ -81,6 +81,14 @@ struct SelectionItem {
 Result<Calendar> Select(const std::vector<SelectionItem>& predicate,
                         const Calendar& c);
 
+namespace naive {
+/// Select with the whole predicate resolved for every group, never the
+/// single-position arithmetic: the reference the fast path is tested
+/// against.
+Result<Calendar> Select(const std::vector<SelectionItem>& predicate,
+                        const Calendar& c);
+}  // namespace naive
+
 // ---------------------------------------------------------------------------
 // set operators
 

@@ -1,6 +1,7 @@
 #include "core/calendar.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "common/macros.h"
 #include "obs/obs.h"
@@ -196,21 +197,43 @@ bool Calendar::ContainsPoint(TimePoint p) const {
   return false;
 }
 
-std::string Calendar::ToString() const {
-  std::string out = "{";
-  if (order() == 1) {
-    IntervalSpan lv = Leaves();
-    for (size_t i = 0; i < lv.size(); ++i) {
-      if (i > 0) out += ",";
-      out += FormatInterval(lv[i]);
-    }
-  } else {
-    for (size_t i = 0; i < size(); ++i) {
-      if (i > 0) out += ",";
-      out += child(i).ToString();
+namespace {
+
+// Appends "(lo,hi)" without a temporary string.
+void AppendInterval(const Interval& i, std::string* out) {
+  char buf[24];  // an int64 takes at most 20 characters
+  out->push_back('(');
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), i.lo).ptr);
+  out->push_back(',');
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), i.hi).ptr);
+  out->push_back(')');
+}
+
+// Appends elements [b, e) of nesting level `level` of `rep`, braced.
+void AppendElements(const CalendarRep& rep, int level, uint32_t b, uint32_t e,
+                    std::string* out) {
+  out->push_back('{');
+  const bool leaves = level + 1 == rep.order;
+  for (uint32_t t = b; t < e; ++t) {
+    if (t > b) out->push_back(',');
+    if (leaves) {
+      AppendInterval(rep.leaves[t], out);
+    } else {
+      const std::vector<uint32_t>& next = rep.offsets[static_cast<size_t>(level)];
+      AppendElements(rep, level + 1, next[t], next[t + 1], out);
     }
   }
-  out += "}";
+  out->push_back('}');
+}
+
+}  // namespace
+
+std::string Calendar::ToString() const {
+  if (!rep_) return "{}";
+  std::string out;
+  // About 10 characters per "(lo,hi)," at four-digit points.
+  out.reserve(static_cast<size_t>(TotalIntervals()) * 10 + 2);
+  AppendElements(*rep_, level_, begin_, end_, &out);
   return out;
 }
 

@@ -673,13 +673,28 @@ Status Engine::AdvanceTo(TimePoint day) {
   }
   std::unique_lock<std::mutex> lock(cron_mu_);
   if (cron_stop_) return Status::InvalidArgument("engine is stopped");
+  // This call's span is (from, day]: it reports the errors of the chunks
+  // overlapping it, and no other.
+  const TimePoint from = cron_reached_;
   if (day > cron_target_) {
     cron_target_ = day;
     cron_cv_.notify_one();
   }
+  auto waiter = cron_waiters_.insert(from);
   cron_done_cv_.wait(lock,
                      [&] { return cron_reached_ >= day || cron_stop_; });
-  Status st = cron_status_;
+  cron_waiters_.erase(waiter);
+  Status st;
+  for (const CronError& error : cron_errors_) {
+    if (error.to > from && error.from < day) {
+      st = error.status;
+      break;
+    }
+  }
+  // Keep only the errors a remaining waiter's span can still reach.
+  std::erase_if(cron_errors_, [&](const CronError& error) {
+    return cron_waiters_.empty() || error.to <= *cron_waiters_.begin();
+  });
   lock.unlock();
   MaybeCheckpoint();
   return st;
@@ -738,10 +753,11 @@ void Engine::CronLoop() {
         if (!logged.ok() && st.ok()) st = logged;
       }
       Metrics().cron_advances->Increment();
+      const TimePoint reached_before = reached;
       reached = chunk;
       std::unique_lock<std::mutex> lock(cron_mu_);
       cron_reached_ = chunk;
-      if (!st.ok() && cron_status_.ok()) cron_status_ = st;
+      if (!st.ok()) cron_errors_.push_back({reached_before, chunk, st});
       cron_done_cv_.notify_all();
       // A concurrent AdvanceTo may have raised the target mid-advance.
       target = cron_target_;
@@ -772,7 +788,9 @@ Status Engine::Stop() {
   Status st;
   {
     std::unique_lock<std::mutex> lock(cron_mu_);
-    st = cron_status_;
+    // An error no AdvanceTo has collected: a chunk that failed after its
+    // waiters had left (the drain of a pending advance).
+    if (!cron_errors_.empty()) st = cron_errors_.front().status;
   }
   if (wal_ != nullptr) {
     if (opts_.checkpoint_on_stop) {

@@ -47,6 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -190,7 +191,9 @@ class Engine {
   /// Plays the virtual clock forward to `day`, firing due temporal rules
   /// from the DBCRON thread.  Blocks until time has reached `day`; rules
   /// fire under the exclusive database lock, interleaved with (not inside)
-  /// concurrent statements.  Returns the first firing error, if any.
+  /// concurrent statements.  Returns the first firing error between the
+  /// clock at the call and `day`, if any: an error is reported by the
+  /// advance it happened in, never by later ones.
   Status AdvanceTo(TimePoint day);
   Status AdvanceToCivil(const CivilDate& date);
 
@@ -358,7 +361,17 @@ class Engine {
   std::condition_variable cron_done_cv_;  // wakes AdvanceTo waiters
   TimePoint cron_target_ = 1;
   TimePoint cron_reached_ = 1;
-  Status cron_status_;
+  // The failed chunks (from, to] of the daemon's advances, kept while an
+  // AdvanceTo whose span they overlap may still be waiting; each
+  // AdvanceTo reports the first that overlaps its own span.
+  struct CronError {
+    TimePoint from;
+    TimePoint to;
+    Status status;
+  };
+  std::vector<CronError> cron_errors_;
+  // The span start (`from`) of each waiting AdvanceTo.
+  std::multiset<TimePoint> cron_waiters_;
   bool cron_stop_ = false;
 
   std::atomic<bool> stopped_{false};

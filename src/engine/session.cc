@@ -96,10 +96,10 @@ Status Session::SetWindowYears(int32_t first_year, int32_t last_year) {
 Result<ScriptValue> Session::EvalScript(const std::string& script) {
   return NoThrow("EvalScript", [&]() -> Result<ScriptValue> {
     Metrics().scripts->Increment();
-    CALDB_ASSIGN_OR_RETURN(Plan plan,
-                           engine_->catalog().CompileScriptText(script));
+    CALDB_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan,
+                           engine_->catalog().CachedPlan(script));
     last_stats_ = EvalStats{};
-    return evaluator_.Run(plan, EffectiveOptions(), &last_stats_);
+    return evaluator_.Run(*plan, EffectiveOptions(), &last_stats_);
   });
 }
 

@@ -137,7 +137,10 @@ class Session {
 
   // --- typed calendar surface -----------------------------------------------
 
-  /// Compiles and runs a calendar script on this session's evaluator.
+  /// Runs a calendar script on this session's evaluator.  The plan comes
+  /// from the catalog's plan cache (CalendarCatalog::CachedPlan), so a
+  /// script text already compiled against the current catalog is not
+  /// compiled again.
   Result<ScriptValue> EvalScript(const std::string& script);
 
   /// Evaluates a named calendar over this session's window.

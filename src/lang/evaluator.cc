@@ -289,14 +289,14 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
     }
 
     case PlanOpCode::kLoadValues: {
+      const std::string& name = frame->plan->name(step);
       if (source_ == nullptr) {
-        return Status::EvalError("no calendar source to load '" + step.name +
+        return Status::EvalError("no calendar source to load '" + name +
                                  "' from");
       }
-      CALDB_ASSIGN_OR_RETURN(ResolvedCalendar resolved,
-                             source_->Resolve(step.name));
+      CALDB_ASSIGN_OR_RETURN(ResolvedCalendar resolved, source_->Resolve(name));
       if (resolved.kind != ResolvedCalendar::Kind::kValues) {
-        return Status::EvalError("calendar '" + step.name +
+        return Status::EvalError("calendar '" + name +
                                  "' is not a value calendar");
       }
       CALDB_ASSIGN_OR_RETURN(Calendar values,
@@ -316,15 +316,15 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
     }
 
     case PlanOpCode::kInvoke: {
+      const std::string& name = frame->plan->name(step);
       if (source_ == nullptr) {
-        return Status::EvalError("no calendar source to invoke '" + step.name +
+        return Status::EvalError("no calendar source to invoke '" + name +
                                  "'");
       }
-      CALDB_ASSIGN_OR_RETURN(ResolvedCalendar resolved,
-                             source_->Resolve(step.name));
+      CALDB_ASSIGN_OR_RETURN(ResolvedCalendar resolved, source_->Resolve(name));
       if (resolved.kind != ResolvedCalendar::Kind::kDerived ||
           resolved.plan == nullptr) {
-        return Status::EvalError("calendar '" + step.name +
+        return Status::EvalError("calendar '" + name +
                                  "' has no evaluation plan");
       }
       CALDB_ASSIGN_OR_RETURN(std::optional<Interval> window,
@@ -346,7 +346,7 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
         return Status::OK();
       }
       if (value.kind != ScriptValue::Kind::kCalendar) {
-        return Status::EvalError("derived calendar '" + step.name +
+        return Status::EvalError("derived calendar '" + name +
                                  "' returned a non-calendar value");
       }
       CALDB_ASSIGN_OR_RETURN(Calendar rescaled,
@@ -368,7 +368,10 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
     }
 
     case PlanOpCode::kLiteral: {
-      CALDB_ASSIGN_OR_RETURN(Calendar value, Rescale(*ts_, step.literal, unit));
+      CALDB_ASSIGN_OR_RETURN(
+          Calendar value,
+          Rescale(*ts_, frame->plan->literals[static_cast<size_t>(step.payload)],
+                  unit));
       set(step.dst, std::move(value));
       return Status::OK();
     }
@@ -383,8 +386,10 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
     }
 
     case PlanOpCode::kGenerateSpan: {
-      CALDB_ASSIGN_OR_RETURN(CivilDate start, ParseCivil(step.civil_start));
-      CALDB_ASSIGN_OR_RETURN(CivilDate end, ParseCivil(step.civil_end));
+      const CivilSpan& civil =
+          frame->plan->civil_spans[static_cast<size_t>(step.payload)];
+      CALDB_ASSIGN_OR_RETURN(CivilDate start, ParseCivil(civil.start));
+      CALDB_ASSIGN_OR_RETURN(CivilDate end, ParseCivil(civil.end));
       CALDB_ASSIGN_OR_RETURN(Interval days, ts_->DayIntervalFromCivil(start, end));
       CALDB_ASSIGN_OR_RETURN(
           Interval span,
@@ -415,7 +420,10 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
 
     case PlanOpCode::kSelect: {
       CALDB_ASSIGN_OR_RETURN(Calendar src, ReadReg(*frame, step.lhs, 0));
-      CALDB_ASSIGN_OR_RETURN(Calendar value, Select(step.selection, src));
+      CALDB_ASSIGN_OR_RETURN(
+          Calendar value,
+          Select(frame->plan->selections[static_cast<size_t>(step.payload)],
+                 src));
       set(step.dst, std::move(value));
       return Status::OK();
     }
@@ -434,9 +442,11 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
 
     case PlanOpCode::kCalOperate: {
       CALDB_ASSIGN_OR_RETURN(Calendar src, ReadReg(*frame, step.lhs, 0));
+      const CalOperateArgs& args =
+          frame->plan->caloperates[static_cast<size_t>(step.payload)];
       std::optional<TimePoint> te;
-      if (step.te.has_value()) te = *step.te;
-      CALDB_ASSIGN_OR_RETURN(Calendar value, CalOperate(src, te, step.groups));
+      if (args.te.has_value()) te = *args.te;
+      CALDB_ASSIGN_OR_RETURN(Calendar value, CalOperate(src, te, args.groups));
       set(step.dst, std::move(value));
       return Status::OK();
     }
@@ -456,21 +466,24 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
     }
 
     case PlanOpCode::kReturnString: {
-      *returned = ScriptValue::Of(step.name);
+      *returned = ScriptValue::Of(frame->plan->name(step));
       *did_return = true;
       return Status::OK();
     }
 
     case PlanOpCode::kIf: {
-      CALDB_RETURN_IF_ERROR(RunSteps(step.cond_steps, frame, returned, did_return));
+      const Plan& plan = *frame->plan;
+      CALDB_RETURN_IF_ERROR(
+          RunSteps(plan.block(step, 0), frame, returned, did_return));
       if (*did_return) return Status::OK();
       CALDB_ASSIGN_OR_RETURN(Calendar cond, ReadReg(*frame, step.lhs, 0));
-      const std::vector<PlanStep>& branch =
-          cond.IsNull() ? step.else_steps : step.body_steps;
-      return RunSteps(branch, frame, returned, did_return);
+      return RunSteps(plan.block(step, cond.IsNull() ? 2 : 1), frame, returned,
+                      did_return);
     }
 
     case PlanOpCode::kWhile: {
+      const std::vector<PlanStep>& cond_steps = frame->plan->block(step, 0);
+      const std::vector<PlanStep>& body_steps = frame->plan->block(step, 1);
       for (int64_t iter = 0;; ++iter) {
         if (iter >= frame->opts->max_loop_iterations) {
           return Status::EvalError("while loop exceeded " +
@@ -478,11 +491,11 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
                                    " iterations");
         }
         CALDB_RETURN_IF_ERROR(
-            RunSteps(step.cond_steps, frame, returned, did_return));
+            RunSteps(cond_steps, frame, returned, did_return));
         if (*did_return) return Status::OK();
         CALDB_ASSIGN_OR_RETURN(Calendar cond, ReadReg(*frame, step.lhs, 0));
         if (cond.IsNull()) return Status::OK();
-        if (step.body_steps.empty()) {
+        if (body_steps.empty()) {
           // The paper's "while (today:<:temp2) ;" busy-wait: the script is
           // blocked until the condition turns false.
           *returned = ScriptValue::Blocked();
@@ -490,7 +503,7 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
           return Status::OK();
         }
         CALDB_RETURN_IF_ERROR(
-            RunSteps(step.body_steps, frame, returned, did_return));
+            RunSteps(body_steps, frame, returned, did_return));
         if (*did_return) return Status::OK();
       }
     }

@@ -67,8 +67,8 @@ std::string ProfileSuffix(const StepProfile* profile, const PlanStep& s) {
          "us out=" + std::to_string(node->out_intervals) + "]";
 }
 
-void StepsToString(const std::vector<PlanStep>& steps, int depth,
-                   const StepProfile* profile, std::string* out) {
+void StepsToString(const Plan& plan, const std::vector<PlanStep>& steps,
+                   int depth, const StepProfile* profile, std::string* out) {
   const std::string indent(static_cast<size_t>(depth) * 2, ' ');
   for (const PlanStep& s : steps) {
     *out += indent;
@@ -78,28 +78,31 @@ void StepsToString(const std::vector<PlanStep>& steps, int depth,
                 std::string(GranularityName(s.gran_arg)) + HintToString(s.hint);
         break;
       case PlanOpCode::kLoadValues:
-        *out += "r" + std::to_string(s.dst) + " = LOAD_VALUES " + s.name +
+        *out += "r" + std::to_string(s.dst) + " = LOAD_VALUES " + plan.name(s) +
                 HintToString(s.hint);
         break;
       case PlanOpCode::kInvoke:
-        *out += "r" + std::to_string(s.dst) + " = INVOKE " + s.name +
+        *out += "r" + std::to_string(s.dst) + " = INVOKE " + plan.name(s) +
                 HintToString(s.hint);
         break;
       case PlanOpCode::kToday:
         *out += "r" + std::to_string(s.dst) + " = TODAY";
         break;
       case PlanOpCode::kLiteral:
-        *out += "r" + std::to_string(s.dst) + " = LITERAL " + s.literal.ToString();
+        *out += "r" + std::to_string(s.dst) + " = LITERAL " +
+                plan.literals[static_cast<size_t>(s.payload)].ToString();
         break;
       case PlanOpCode::kYearSelect:
         *out += "r" + std::to_string(s.dst) + " = YEAR " + std::to_string(s.year);
         break;
-      case PlanOpCode::kGenerateSpan:
+      case PlanOpCode::kGenerateSpan: {
+        const CivilSpan& span = plan.civil_spans[static_cast<size_t>(s.payload)];
         *out += "r" + std::to_string(s.dst) + " = GENERATE " +
                 std::string(GranularityName(s.gran_arg)) + " in " +
-                std::string(GranularityName(s.unit_arg)) + " [" + s.civil_start +
-                ", " + s.civil_end + "]";
+                std::string(GranularityName(s.unit_arg)) + " [" + span.start +
+                ", " + span.end + "]";
         break;
+      }
       case PlanOpCode::kForEach:
         *out += "r" + std::to_string(s.dst) + " = FOREACH r" +
                 std::to_string(s.lhs) + (s.strict ? " :" : " .") +
@@ -108,9 +111,11 @@ void StepsToString(const std::vector<PlanStep>& steps, int depth,
         break;
       case PlanOpCode::kSelect: {
         *out += "r" + std::to_string(s.dst) + " = SELECT [";
-        for (size_t i = 0; i < s.selection.size(); ++i) {
+        const std::vector<SelectionItem>& selection =
+            plan.selections[static_cast<size_t>(s.payload)];
+        for (size_t i = 0; i < selection.size(); ++i) {
           if (i > 0) *out += ",";
-          const SelectionItem& it = s.selection[i];
+          const SelectionItem& it = selection[i];
           switch (it.kind) {
             case SelectionItem::Kind::kIndex:
               *out += std::to_string(it.index);
@@ -138,13 +143,15 @@ void StepsToString(const std::vector<PlanStep>& steps, int depth,
                 " - r" + std::to_string(s.rhs);
         break;
       case PlanOpCode::kCalOperate: {
+        const CalOperateArgs& args =
+            plan.caloperates[static_cast<size_t>(s.payload)];
         *out += "r" + std::to_string(s.dst) + " = CALOPERATE r" +
                 std::to_string(s.lhs) + " te=";
-        *out += s.te.has_value() ? std::to_string(*s.te) : "*";
+        *out += args.te.has_value() ? std::to_string(*args.te) : "*";
         *out += " groups=(";
-        for (size_t i = 0; i < s.groups.size(); ++i) {
+        for (size_t i = 0; i < args.groups.size(); ++i) {
           if (i > 0) *out += ";";
-          *out += std::to_string(s.groups[i]);
+          *out += std::to_string(args.groups[i]);
         }
         *out += ")";
         break;
@@ -156,25 +163,25 @@ void StepsToString(const std::vector<PlanStep>& steps, int depth,
         *out += "RETURN r" + std::to_string(s.lhs);
         break;
       case PlanOpCode::kReturnString:
-        *out += "RETURN \"" + s.name + "\"";
+        *out += "RETURN \"" + plan.name(s) + "\"";
         break;
       case PlanOpCode::kIf:
         *out += "IF cond(r" + std::to_string(s.lhs) + "):" +
                 ProfileSuffix(profile, s) + "\n";
-        StepsToString(s.cond_steps, depth + 1, profile, out);
+        StepsToString(plan, plan.block(s, 0), depth + 1, profile, out);
         *out += indent + "THEN:\n";
-        StepsToString(s.body_steps, depth + 1, profile, out);
-        if (!s.else_steps.empty()) {
+        StepsToString(plan, plan.block(s, 1), depth + 1, profile, out);
+        if (!plan.block(s, 2).empty()) {
           *out += indent + "ELSE:\n";
-          StepsToString(s.else_steps, depth + 1, profile, out);
+          StepsToString(plan, plan.block(s, 2), depth + 1, profile, out);
         }
         continue;
       case PlanOpCode::kWhile:
         *out += "WHILE cond(r" + std::to_string(s.lhs) + "):" +
                 ProfileSuffix(profile, s) + "\n";
-        StepsToString(s.cond_steps, depth + 1, profile, out);
+        StepsToString(plan, plan.block(s, 0), depth + 1, profile, out);
         *out += indent + "DO:\n";
-        StepsToString(s.body_steps, depth + 1, profile, out);
+        StepsToString(plan, plan.block(s, 1), depth + 1, profile, out);
         continue;
     }
     *out += ProfileSuffix(profile, s);
@@ -187,7 +194,7 @@ void StepsToString(const std::vector<PlanStep>& steps, int depth,
 std::string Plan::ToString(const StepProfile* profile) const {
   std::string out = "plan unit=" + std::string(GranularityName(unit)) +
                     " registers=" + std::to_string(num_registers) + "\n";
-  StepsToString(steps, 0, profile, &out);
+  StepsToString(*this, steps, 0, profile, &out);
   return out;
 }
 

@@ -28,14 +28,14 @@
 
 namespace caldb {
 
-enum class PlanOpCode {
+enum class PlanOpCode : uint8_t {
   kGenerate,      // dst <- base calendar gran_arg at plan unit, within window
   kLoadValues,    // dst <- stored values of calendar `name`
   kInvoke,        // dst <- result of derived calendar `name`'s plan
   kToday,         // dst <- singleton for the current time point
   kLiteral,       // dst <- literal calendar
   kYearSelect,    // dst <- singleton spanning civil year `year`
-  kGenerateSpan,  // dst <- generate(gran_arg, unit_arg, [civil_start,civil_end])
+  kGenerateSpan,  // dst <- generate(gran_arg, unit_arg, civil span)
   kForEach,       // dst <- foreach(lhs, listop, rhs, strict)
   kSelect,        // dst <- select(selection, lhs)
   kUnion,         // dst <- lhs + rhs
@@ -44,8 +44,8 @@ enum class PlanOpCode {
   kCopy,          // dst <- lhs
   kReturn,        // script returns register lhs
   kReturnString,  // script returns string `name`
-  kIf,            // run cond_steps; lhs = condition register
-  kWhile,         // run cond_steps repeatedly; empty body => Blocked
+  kIf,            // run the condition block; lhs = condition register
+  kWhile,         // run the condition block repeatedly; empty body => Blocked
 };
 
 struct WindowHint {
@@ -58,29 +58,42 @@ struct WindowHint {
   int reg = -1;
 };
 
+// One plan instruction.  Only the fields every opcode reads are inline —
+// the opcode, its registers, the foreach operator, the granularities, the
+// window hint and the year — so a step stays a few dozen bytes and a plan
+// is cheap to keep in the catalog's plan cache.  The rarer payloads (names,
+// literal calendars, civil dates, caloperate arguments, selection lists
+// and the nested steps of if/while) live in side tables of the owning
+// Plan, indexed by `payload`.
 struct PlanStep {
   PlanOpCode op = PlanOpCode::kCopy;
+  bool strict = true;
+  ListOp listop = ListOp::kDuring;
+  Granularity gran_arg = Granularity::kDays;   // kGenerate/kGenerateSpan base
+  Granularity unit_arg = Granularity::kDays;   // kGenerateSpan unit
   int dst = -1;
   int lhs = -1;
   int rhs = -1;
-
-  std::string name;  // calendar name / returned string
-  Granularity gran_arg = Granularity::kDays;   // kGenerate/kGenerateSpan base
-  Granularity unit_arg = Granularity::kDays;   // kGenerateSpan unit
-  std::string civil_start;                     // kGenerateSpan "YYYY-MM-DD"
-  std::string civil_end;
-  ListOp listop = ListOp::kDuring;
-  bool strict = true;
-  std::vector<SelectionItem> selection;
-  Calendar literal;
-  int32_t year = 0;
-  std::optional<int64_t> te;     // kCalOperate end time (nullopt = '*')
-  std::vector<int64_t> groups;   // kCalOperate group sizes
   WindowHint hint;
+  int32_t year = 0;  // kYearSelect
+  // Index into the Plan side table of this opcode: names (kLoadValues,
+  // kInvoke, kReturnString), literals, civil_spans (kGenerateSpan),
+  // caloperates, selections; for kIf/kWhile the first of its consecutive
+  // blocks (condition, then/body, else).  -1 when the opcode has none.
+  int32_t payload = -1;
+};
+static_assert(sizeof(PlanStep) <= 96, "PlanStep must stay compact");
 
-  std::vector<PlanStep> cond_steps;  // kIf / kWhile condition
-  std::vector<PlanStep> body_steps;  // kIf then / kWhile body
-  std::vector<PlanStep> else_steps;  // kIf else
+/// kGenerateSpan's civil bounds, "YYYY-MM-DD" as written.
+struct CivilSpan {
+  std::string start;
+  std::string end;
+};
+
+/// kCalOperate's arguments.
+struct CalOperateArgs {
+  std::optional<int64_t> te;    // end time (nullopt = '*')
+  std::vector<int64_t> groups;  // group sizes
 };
 
 /// Per-plan-node execution profile, collected by the Evaluator when
@@ -150,9 +163,25 @@ struct Plan {
   // Every calendar in the plan is expressed in this unit (the script's
   // smallest time unit, §3.4).
   Granularity unit = Granularity::kDays;
+  // Side tables of the steps' out-of-line payloads (PlanStep::payload).
+  std::vector<std::string> names;
+  std::vector<Calendar> literals;
+  std::vector<CivilSpan> civil_spans;
+  std::vector<CalOperateArgs> caloperates;
+  std::vector<std::vector<SelectionItem>> selections;
+  std::vector<std::vector<PlanStep>> blocks;
   // Filled by next-fire lookups on a const plan (rules hold their plans
   // as shared_ptr<const Plan>).
   mutable NextFireMemo next_fire_memo;
+
+  const std::string& name(const PlanStep& s) const {
+    return names[static_cast<size_t>(s.payload)];
+  }
+  /// Block `k` of a kIf (0 condition, 1 then, 2 else) or kWhile (0
+  /// condition, 1 body).
+  const std::vector<PlanStep>& block(const PlanStep& s, int k) const {
+    return blocks[static_cast<size_t>(s.payload + k)];
+  }
 
   /// Human-readable listing ("the set of procedural statements" shown in
   /// the paper's Figure 1).  With a profile, each step is annotated with

@@ -15,15 +15,36 @@ class Planner {
   explicit Planner(const Script& script) : script_(script) {}
 
   Result<Plan> Run() {
-    Plan plan;
-    plan.unit = script_.unit;
-    CALDB_RETURN_IF_ERROR(CompileBody(script_.stmts, &plan.steps));
-    plan.num_registers = next_reg_;
-    return plan;
+    plan_.unit = script_.unit;
+    CALDB_RETURN_IF_ERROR(CompileBody(script_.stmts, &plan_.steps));
+    plan_.num_registers = next_reg_;
+    // Plans may be kept for long (the catalog's plan cache, rules): drop
+    // the growth slack.
+    plan_.steps.shrink_to_fit();
+    return std::move(plan_);
   }
 
  private:
   int NewReg() { return next_reg_++; }
+
+  // Appends `value` to a side table of the plan; returns its index, the
+  // step's payload.
+  template <typename T>
+  static int32_t AddPayload(std::vector<T>* table, T value) {
+    table->push_back(std::move(value));
+    return static_cast<int32_t>(table->size() - 1);
+  }
+
+  // Stores the blocks of a kIf/kWhile consecutively; returns the first's
+  // index.  Nested blocks were stored while these were compiled.
+  int32_t AddBlocks(std::vector<std::vector<PlanStep>> blocks) {
+    const int32_t first = static_cast<int32_t>(plan_.blocks.size());
+    for (std::vector<PlanStep>& block : blocks) {
+      block.shrink_to_fit();
+      plan_.blocks.push_back(std::move(block));
+    }
+    return first;
+  }
 
   Status CompileBody(const std::vector<Stmt>& body, std::vector<PlanStep>* out) {
     for (const Stmt& stmt : body) {
@@ -49,39 +70,36 @@ class Planner {
         step.op = PlanOpCode::kCopy;
         step.dst = var_reg;
         step.lhs = value_reg;
-        out->push_back(std::move(step));
+        out->push_back(step);
         return Status::OK();
       }
-      case Stmt::Kind::kIf: {
-        PlanStep step;
-        step.op = PlanOpCode::kIf;
-        CALDB_ASSIGN_OR_RETURN(
-            step.lhs, CompileExpr(*stmt.expr, WindowHint{}, &step.cond_steps));
-        CALDB_RETURN_IF_ERROR(CompileBody(stmt.body, &step.body_steps));
-        CALDB_RETURN_IF_ERROR(CompileBody(stmt.else_body, &step.else_steps));
-        out->push_back(std::move(step));
-        return Status::OK();
-      }
+      case Stmt::Kind::kIf:
       case Stmt::Kind::kWhile: {
+        const bool is_if = stmt.kind == Stmt::Kind::kIf;
         PlanStep step;
-        step.op = PlanOpCode::kWhile;
+        step.op = is_if ? PlanOpCode::kIf : PlanOpCode::kWhile;
+        std::vector<std::vector<PlanStep>> blocks(is_if ? 3 : 2);
         CALDB_ASSIGN_OR_RETURN(
-            step.lhs, CompileExpr(*stmt.expr, WindowHint{}, &step.cond_steps));
-        CALDB_RETURN_IF_ERROR(CompileBody(stmt.body, &step.body_steps));
-        out->push_back(std::move(step));
+            step.lhs, CompileExpr(*stmt.expr, WindowHint{}, &blocks[0]));
+        CALDB_RETURN_IF_ERROR(CompileBody(stmt.body, &blocks[1]));
+        if (is_if) {
+          CALDB_RETURN_IF_ERROR(CompileBody(stmt.else_body, &blocks[2]));
+        }
+        step.payload = AddBlocks(std::move(blocks));
+        out->push_back(step);
         return Status::OK();
       }
       case Stmt::Kind::kReturn: {
         PlanStep step;
         if (stmt.returns_string) {
           step.op = PlanOpCode::kReturnString;
-          step.name = stmt.str;
+          step.payload = AddPayload(&plan_.names, stmt.str);
         } else {
           step.op = PlanOpCode::kReturn;
           CALDB_ASSIGN_OR_RETURN(step.lhs,
                                  CompileExpr(*stmt.expr, WindowHint{}, out));
         }
-        out->push_back(std::move(step));
+        out->push_back(step);
         return Status::OK();
       }
       case Stmt::Kind::kBlock:
@@ -100,7 +118,7 @@ class Planner {
         PlanStep step;
         step.op = PlanOpCode::kLiteral;
         step.dst = NewReg();
-        step.literal = e.literal;
+        step.payload = AddPayload(&plan_.literals, e.literal);
         out->push_back(step);
         return step.dst;
       }
@@ -132,7 +150,7 @@ class Planner {
         step.rhs = rhs_reg;
         step.listop = e.op;
         step.strict = e.strict;
-        out->push_back(std::move(step));
+        out->push_back(step);
         return step.dst;
       }
       case Expr::Kind::kSelect: {
@@ -141,8 +159,8 @@ class Planner {
         step.op = PlanOpCode::kSelect;
         step.dst = NewReg();
         step.lhs = src_reg;
-        step.selection = e.selection;
-        out->push_back(std::move(step));
+        step.payload = AddPayload(&plan_.selections, e.selection);
+        out->push_back(step);
         return step.dst;
       }
       case Expr::Kind::kSetOp: {
@@ -153,7 +171,7 @@ class Planner {
         step.dst = NewReg();
         step.lhs = lhs_reg;
         step.rhs = rhs_reg;
-        out->push_back(std::move(step));
+        out->push_back(step);
         return step.dst;
       }
       case Expr::Kind::kCall:
@@ -189,7 +207,6 @@ class Planner {
         step.op = PlanOpCode::kGenerate;
         step.dst = NewReg();
         step.gran_arg = e.sem_granularity;
-        step.name = std::string(GranularityName(e.sem_granularity));
         step.hint = hint;
         out->push_back(step);
         return step.dst;
@@ -198,7 +215,7 @@ class Planner {
         PlanStep step;
         step.op = PlanOpCode::kLoadValues;
         step.dst = NewReg();
-        step.name = e.name;
+        step.payload = AddPayload(&plan_.names, e.name);
         step.hint = hint;
         out->push_back(step);
         return step.dst;
@@ -207,7 +224,7 @@ class Planner {
         PlanStep step;
         step.op = PlanOpCode::kInvoke;
         step.dst = NewReg();
-        step.name = e.name;
+        step.payload = AddPayload(&plan_.names, e.name);
         step.hint = hint;
         out->push_back(step);
         return step.dst;
@@ -227,13 +244,15 @@ class Planner {
       step.op = PlanOpCode::kCalOperate;
       step.dst = NewReg();
       step.lhs = src_reg;
+      CalOperateArgs args;
       if (e.args[1]->kind == Expr::Kind::kIntConst) {
-        step.te = e.args[1]->int_value;
+        args.te = e.args[1]->int_value;
       }
       for (size_t i = 2; i < e.args.size(); ++i) {
-        step.groups.push_back(e.args[i]->int_value);
+        args.groups.push_back(e.args[i]->int_value);
       }
-      out->push_back(std::move(step));
+      step.payload = AddPayload(&plan_.caloperates, std::move(args));
+      out->push_back(step);
       return step.dst;
     }
     if (EqualsIgnoreCase(e.name, "generate")) {
@@ -242,9 +261,9 @@ class Planner {
       step.dst = NewReg();
       step.gran_arg = e.args[0]->sem_granularity;
       step.unit_arg = e.args[1]->sem_granularity;
-      step.civil_start = e.args[2]->name;
-      step.civil_end = e.args[3]->name;
-      out->push_back(std::move(step));
+      step.payload = AddPayload(
+          &plan_.civil_spans, CivilSpan{e.args[2]->name, e.args[3]->name});
+      out->push_back(step);
       return step.dst;
     }
     return Status::Internal("unknown call '" + e.name +
@@ -252,6 +271,7 @@ class Planner {
   }
 
   const Script& script_;
+  Plan plan_;
   int next_reg_ = 0;
   std::map<std::string, int> vars_;
 };

@@ -61,6 +61,7 @@ void DbCron::Schedule(TimePoint fire_day, int64_t rule_id) {
 Status DbCron::AdvanceTo(TimePoint day) {
   TimePoint now = clock_->NowDay();
   if (day < now) return Status::OK();
+  Status first_error;  // of this advance's firings
   while (true) {
     // Next event: the earliest of (scheduled probe, earliest pending firing).
     TimePoint next_event = next_probe_day_;
@@ -110,14 +111,14 @@ Status DbCron::AdvanceTo(TimePoint day) {
         if (!fired.status.ok()) {
           record.outcome = obs::AuditRecord::Outcome::kError;
           record.error = fired.status.ToString();
+          if (first_error.ok()) first_error = fired.status;
         } else if (fired.suppressed) {
           record.outcome = obs::AuditRecord::Outcome::kSuppressed;
         }
         obs::Audit().Record(std::move(record));
       }
-      if (!next.ok() && next.status().code() != StatusCode::kNotFound) {
-        return next.status();
-      }
+      // A failed firing still ran to its reschedule (FireRule), so the
+      // day's other firings run too; the advance reports the first error.
       // If the rule's next firing lands inside the already probed window,
       // schedule it directly (RULE-TIME was updated, but this window's
       // probe has passed).
@@ -130,7 +131,7 @@ Status DbCron::AdvanceTo(TimePoint day) {
     }
   }
   clock_->AdvanceTo(day);
-  return Status::OK();
+  return first_error;
 }
 
 }  // namespace caldb

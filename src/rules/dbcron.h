@@ -40,6 +40,9 @@ class DbCron {
   /// Plays virtual time forward to `day` inclusive, probing and firing as
   /// time passes.  Rules becoming due are fired in (fire_day, rule_id)
   /// order; a rule declared mid-window is picked up at the next probe.
+  /// A failed firing is audited as an error and rescheduled like any
+  /// other, and the advance goes on; the result is the first error among
+  /// this advance's firings, so one failure never outlives its advance.
   Status AdvanceTo(TimePoint day);
 
   /// Convenience: advance by `days`.

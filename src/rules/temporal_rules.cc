@@ -282,41 +282,46 @@ Result<std::optional<TimePoint>> TemporalRuleManager::FireRule(
         BindParams(stmt, stmt.param_count == 1 ? &fire_params : nullptr));
     return db_->Run(stmt, bound);
   };
-  bool condition_holds = true;
-  if (rule.compiled_condition != nullptr) {
-    // The pre-compiled condition (DeclareRule): firings never parse.
-    Result<QueryResult> cond = run(*rule.compiled_condition);
-    if (!cond.ok()) {
-      return finish(cond.status().WithContext("temporal rule " + rule.name +
-                                            " condition"));
+  // The firing itself: the condition, then the action.  Its failure, by
+  // error or by throw, is this firing's outcome, not the rule's end: the
+  // rule is rescheduled below either way, so it neither fires again at
+  // the next probe nor stalls.
+  Status fired = NoThrow("AdvanceTo", [&]() -> Status {
+    if (rule.compiled_condition != nullptr) {
+      // The pre-compiled condition (DeclareRule): firings never parse.
+      Result<QueryResult> cond = run(*rule.compiled_condition);
+      if (!cond.ok()) {
+        return cond.status().WithContext("temporal rule " + rule.name +
+                                         " condition");
+      }
+      if (cond->rows.empty()) {
+        ++fire_stats_.suppressed_by_condition;
+        if (outcome != nullptr) outcome->suppressed = true;
+        return Status::OK();
+      }
     }
-    condition_holds = !cond->rows.empty();
-  }
-  if (condition_holds) {
     ++fire_stats_.fired;
     if (rule.action.callback) {
       Status st = rule.action.callback(fire_day);
-      if (!st.ok()) {
-        return finish(st.WithContext("temporal rule " + rule.name));
-      }
+      if (!st.ok()) return st.WithContext("temporal rule " + rule.name);
     }
     if (rule.compiled_command != nullptr) {
       Result<QueryResult> r = run(*rule.compiled_command);
       if (!r.ok()) {
-        return finish(r.status().WithContext("temporal rule " + rule.name +
-                                           " action"));
+        return r.status().WithContext("temporal rule " + rule.name +
+                                      " action");
       }
     }
-  } else {
-    ++fire_stats_.suppressed_by_condition;
-    if (outcome != nullptr) outcome->suppressed = true;
-  }
+    return Status::OK();
+  });
   Result<std::optional<TimePoint>> next =
       catalog_->NextFirePointForPlan(*rule.plan, fire_day, horizon_day_, unit_);
-  if (!next.ok()) return finish(next.status());
-  Status st = UpdateRuleTime(id, *next);
-  if (!st.ok()) return finish(st);
-  finish(Status::OK());
+  // With no next firing to move to, the rule goes dormant rather than
+  // keep a RULE-TIME row in the past, which every probe would fire again.
+  Status st = UpdateRuleTime(id, next.ok() ? *next : std::nullopt);
+  if (!next.ok()) st = next.status();
+  finish(fired.ok() ? st : fired);
+  if (!st.ok()) return st;
   return *next;
 }
 

@@ -131,8 +131,13 @@ class TemporalRuleManager {
 
   /// Executes the rule's action at `fire_day`, recomputes its next firing
   /// and updates RULE-TIME.  Returns the new next-fire day (nullopt when
-  /// the rule went dormant past the horizon).  `outcome`, when non-null,
-  /// is filled on every path (including errors).
+  /// the rule went dormant past the horizon).  A failed condition or
+  /// action, by error or by throw, does not stop the reschedule: the rule
+  /// keeps its schedule and the failure is reported in `outcome->status`
+  /// only.  The result is an error when the rule could not be rescheduled
+  /// (unknown id, next firing or RULE-TIME failure); a rule whose next
+  /// firing cannot be computed goes dormant.  `outcome`, when non-null, is
+  /// filled on every path.
   Result<std::optional<TimePoint>> FireRule(int64_t id, TimePoint fire_day,
                                             FireOutcome* outcome = nullptr);
 

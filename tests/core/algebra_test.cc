@@ -1,5 +1,7 @@
 #include "core/algebra.h"
 
+#include <random>
+
 #include <gtest/gtest.h>
 
 namespace caldb {
@@ -174,6 +176,56 @@ TEST(SelectTest, Order3ReducesToOrder2) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->order(), 2);
   EXPECT_EQ(r->ToString(), "{{(1,1)},{(2,2)}}");
+}
+
+// The single-position arithmetic of a lone [k], [-k] or [n] against the
+// general resolve, on random calendars of order 1 to 3 whose groups are
+// often empty or shorter than the index: out-of-range positions are
+// skipped on both paths, never wrapped.
+TEST(SelectTest, SinglePositionMatchesGeneralResolve) {
+  std::mt19937_64 rng(0x5E1EC7ULL);
+  auto rand = [&](int bound) { return static_cast<int>(rng() % bound); };
+  auto group = [&] {
+    std::vector<Interval> v;
+    const int n = rand(4) == 0 ? 0 : rand(6);
+    for (int i = 0; i < n; ++i) {
+      const TimePoint lo = rand(2) == 0 ? -40 + rand(30) : 1 + rand(60);
+      v.push_back({lo, lo + rand(5)});
+    }
+    return Days(std::move(v));
+  };
+  auto order2 = [&] {
+    std::vector<Calendar> children;
+    for (int i = rand(5); i > 0; --i) children.push_back(group());
+    return Calendar::Nested(Granularity::kDays, std::move(children));
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    Calendar c;
+    switch (rand(3)) {
+      case 0:
+        c = group();
+        break;
+      case 1:
+        c = order2();
+        break;
+      default: {
+        std::vector<Calendar> children;
+        for (int i = rand(4); i > 0; --i) children.push_back(order2());
+        c = Calendar::Nested(Granularity::kDays, std::move(children), 3);
+        break;
+      }
+    }
+    const int k = 1 + rand(7);
+    for (const SelectionItem& item :
+         {SelectionItem::Index(k), SelectionItem::Index(-k),
+          SelectionItem::Last()}) {
+      auto fast = Select({item}, c);
+      auto general = naive::Select({item}, c);
+      ASSERT_TRUE(fast.ok() && general.ok());
+      EXPECT_EQ(*fast, *general) << c.ToString() << " k=" << k;
+      EXPECT_EQ(fast->order(), general->order());
+    }
+  }
 }
 
 TEST(SelectTest, EmptyPredicateRejected) {

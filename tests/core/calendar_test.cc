@@ -100,3 +100,50 @@ TEST(CalendarTest, Equality) {
 
 }  // namespace
 }  // namespace caldb
+
+namespace caldb {
+namespace {
+
+// ToString as it was composed before it rendered into one buffer: a
+// FormatInterval string per interval and a child view per element.
+std::string ComposedToString(const Calendar& c) {
+  std::string out = "{";
+  if (c.order() == 1) {
+    for (size_t i = 0; i < c.size(); ++i) {
+      if (i > 0) out += ",";
+      out += FormatInterval(c.intervals()[i]);
+    }
+  } else {
+    for (size_t i = 0; i < c.size(); ++i) {
+      if (i > 0) out += ",";
+      out += ComposedToString(c.child(i));
+    }
+  }
+  return out + "}";
+}
+
+TEST(CalendarTest, ToStringMatchesTheComposedRendering) {
+  const Calendar pre_epoch = Calendar::Order1(
+      Granularity::kDays, {{-9223372036854775807LL, -400}, {-31, -1}});
+  const Calendar straddling =
+      Calendar::Order1(Granularity::kDays, {{-3, 4}, {-1, 1}, {5, 9}});
+  const Calendar late = Calendar::Order1(
+      Granularity::kDays, {{1, 1}, {100000, 9223372036854775807LL}});
+  const Calendar order2 =
+      Calendar::Nested(Granularity::kDays, {pre_epoch, straddling, late});
+  const Calendar order3 = Calendar::Nested(
+      Granularity::kDays,
+      {order2, Calendar::Nested(Granularity::kDays, {straddling}),
+       Calendar::Nested(Granularity::kDays, {}, 2)});
+  for (const Calendar& c :
+       {Calendar(), pre_epoch, straddling, late, order2, order3,
+        order3.child(0), order3.child(0).child(1), order2.child(2).Slice(1, 2),
+        Calendar::Nested(Granularity::kDays, {}, 3)}) {
+    EXPECT_EQ(c.ToString(), ComposedToString(c));
+  }
+  EXPECT_EQ(straddling.ToString(), "{(-3,4),(-1,1),(5,9)}");
+  EXPECT_EQ(order3.child(1).ToString(), "{{(-3,4),(-1,1),(5,9)}}");
+}
+
+}  // namespace
+}  // namespace caldb

@@ -112,6 +112,40 @@ TEST(EngineFacadeTest, ThrowingRuleCallbackSurfacesAsInternal) {
   EXPECT_TRUE(session->Execute("drop temporal rule thrower").ok());
 }
 
+// A failed firing is scoped to the advance it happened in: the rule is
+// still rescheduled, the day's other firings still run, and later
+// advances report only their own firings.  The callback throws on its
+// first call only (Tuesday, day 5); days 1..30 hold four Tuesdays.
+TEST(EngineFacadeTest, FailedFiringIsReportedOnlyByItsOwnAdvance) {
+  auto engine = Engine::Create().value();
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  TemporalAction action;
+  action.callback = [calls](TimePoint) -> Status {
+    if (calls->fetch_add(1) == 0) throw std::runtime_error("first call");
+    return Status::OK();
+  };
+  ASSERT_TRUE(
+      engine->DeclareRule("flaky", "[2]/DAYS:during:WEEKS", std::move(action))
+          .ok());
+  auto other_calls = std::make_shared<std::atomic<int>>(0);
+  TemporalAction other;
+  other.callback = [other_calls](TimePoint) {
+    other_calls->fetch_add(1);
+    return Status::OK();
+  };
+  ASSERT_TRUE(
+      engine->DeclareRule("steady", "[2]/DAYS:during:WEEKS", std::move(other))
+          .ok());
+  Status first = engine->AdvanceTo(30);
+  EXPECT_EQ(first.code(), StatusCode::kInternal) << first.ToString();
+  EXPECT_EQ(calls->load(), 4);
+  EXPECT_EQ(other_calls->load(), 4);  // the same day's firing still ran
+  EXPECT_TRUE(engine->AdvanceTo(60).ok());
+  EXPECT_TRUE(engine->AdvanceTo(90).ok());
+  EXPECT_EQ(calls->load(), other_calls->load());
+  EXPECT_TRUE(engine->Stop().ok());
+}
+
 TEST(EngineFacadeTest, ExecuteBatchPreservesOrder) {
   auto engine = Engine::Create().value();
   auto session = engine->CreateSession();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/calendar_functions.h"
+#include "obs/obs.h"
 
 namespace caldb {
 namespace {
@@ -82,6 +83,38 @@ TEST_F(DbCronTest, RuleTimeAlwaysHoldsTheNextFiring) {
   ASSERT_TRUE(time_rows.ok());
   ASSERT_EQ(time_rows->rows.size(), 1u);
   EXPECT_EQ(time_rows->rows[0][0].AsInt().value(), 12);  // next Tuesday
+}
+
+// A failing firing is audited as an error and rescheduled; the advance
+// reports it, the next advance does not, and the rule keeps firing.
+TEST_F(DbCronTest, FailedFiringIsAuditedAndRescheduled) {
+  std::vector<TimePoint> fires;
+  TemporalAction action;
+  action.callback = [&fires](TimePoint day) {
+    fires.push_back(day);
+    return fires.size() == 1 ? Status::Internal("first firing fails")
+                             : Status::OK();
+  };
+  ASSERT_TRUE(rules_
+                  ->DeclareRule("every_tuesday", "[2]/DAYS:during:WEEKS",
+                                std::move(action), 1)
+                  .ok());
+  obs::Audit().Clear();
+  VirtualClock clock(1);
+  DbCron cron(rules_.get(), &clock, 7);
+  Status first = cron.AdvanceTo(6);
+  EXPECT_EQ(first.code(), StatusCode::kInternal);
+  auto time_rows = db_.Execute("retrieve (t.next_fire) from t in RULE_TIME");
+  ASSERT_TRUE(time_rows.ok());
+  ASSERT_EQ(time_rows->rows.size(), 1u);
+  EXPECT_EQ(time_rows->rows[0][0].AsInt().value(), 12);  // moved on
+  std::vector<obs::AuditRecord> audit = obs::Audit().Snapshot();
+  ASSERT_EQ(audit.size(), 1u);
+  EXPECT_EQ(audit[0].outcome, obs::AuditRecord::Outcome::kError);
+  EXPECT_NE(audit[0].error.find("first firing fails"), std::string::npos);
+
+  EXPECT_TRUE(cron.AdvanceTo(31).ok());
+  EXPECT_EQ(fires, (std::vector<TimePoint>{5, 12, 19, 26}));
 }
 
 TEST_F(DbCronTest, CommandActionsRunAgainstTheDatabase) {

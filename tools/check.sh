@@ -78,14 +78,16 @@ if [[ "$run_tsan" == 1 ]]; then
   # TSan pass over the concurrent engine: N writer + M reader sessions
   # racing DBCRON, plus the per-table lock stress tests (readers on one
   # table progressing under a writer hammering another —
-  # tests/engine/engine_concurrency_test.cc), and the tracer's per-thread
+  # tests/engine/engine_concurrency_test.cc), the tracer's per-thread
   # rings: writers finishing spans and rotating chunks while another
-  # thread snapshots and clears (tests/obs/trace_test.cc).  TSan cannot
+  # thread snapshots and clears (tests/obs/trace_test.cc), and sessions
+  # evaluating one shared cached plan while another session redefines a
+  # calendar it inlines (tests/catalog/plan_cache_test.cc).  TSan cannot
   # combine with ASan, so it gets its own tree; any data race in the
   # Engine/LockManager/Session/ThreadPool/catalog/Tracer locking shows up
   # here as a hard failure.
   tsan_dir="$repo_root/build-tsan"
-  tsan_tests=(engine_concurrency_test trace_test)
+  tsan_tests=(engine_concurrency_test trace_test plan_cache_test)
   cmake -B "$tsan_dir" -S "$repo_root" -DCALDB_SANITIZE=thread
   cmake --build "$tsan_dir" -j "$(nproc)" --target "${tsan_tests[@]}"
   tsan_regex="^($(IFS='|'; echo "${tsan_tests[*]}"))\$"
