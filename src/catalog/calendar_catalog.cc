@@ -6,6 +6,7 @@
 #include "common/strings.h"
 #include "core/generate.h"
 #include "lang/analyzer.h"
+#include "lang/lexer.h"
 #include "lang/optimizer.h"
 #include "lang/parser.h"
 #include "lang/planner.h"
@@ -49,8 +50,14 @@ CatalogMetrics& Metrics() {
 }  // namespace
 
 Status CalendarCatalog::CheckNameFreeLocked(const std::string& name) const {
-  if (name.empty()) {
-    return Status::InvalidArgument("calendar name must not be empty");
+  // A name must lex as one identifier (EMP-DAYS fuses into one): any
+  // other could be neither referenced by a script nor read back from a
+  // checkpoint.
+  Result<std::vector<Token>> tokens = Lex(name);
+  if (!tokens.ok() || tokens->size() != 2 ||
+      (*tokens)[0].kind != TokenKind::kIdent || (*tokens)[0].text != name) {
+    return Status::InvalidArgument("calendar name '" + name +
+                                   "' is not a single identifier");
   }
   if (IsBaseName(name)) {
     return Status::AlreadyExists("'" + name + "' names a base calendar");
@@ -212,6 +219,7 @@ Result<ResolvedCalendar> CalendarCatalog::Resolve(const std::string& name) const
   const CalendarDef& def = it->second;
   ResolvedCalendar resolved;
   resolved.granularity = def.granularity;
+  resolved.lifespan_days = def.lifespan_days;
   if (def.values.has_value()) {
     resolved.kind = ResolvedCalendar::Kind::kValues;
     resolved.values = *def.values;
@@ -224,87 +232,56 @@ Result<ResolvedCalendar> CalendarCatalog::Resolve(const std::string& name) const
 }
 
 Result<Calendar> CalendarCatalog::EvaluateCalendar(const std::string& name,
-                                                   const EvalOptions& opts_in,
+                                                   const EvalOptions& opts,
                                                    EvalStats* stats) const {
-  // Capture the catalog version BEFORE resolving: everything read from
-  // here on (the plan, the lifespan, the referenced calendars during the
-  // unlocked evaluation) is at-or-after this version, so caching the
-  // result under it can never mark stale content current.
-  const uint64_t version_at_resolve = version();
-  CALDB_ASSIGN_OR_RETURN(ResolvedCalendar resolved, Resolve(name));
-  // A calendar has no values outside its lifespan: clamp the window.
-  EvalOptions opts = opts_in;
-  std::optional<Interval> lifespan;
+  // Captured before anything is read: the plan and the calendars it reads
+  // during the unlocked evaluation are at-or-after this version, so if a
+  // Define*/Drop lands mid-evaluation (bumping the version and clearing
+  // the cache), this miss's insert files under the old version, where no
+  // later lookup finds it.  Only a name that was a calendar at this
+  // version has entries under it, so a hit needs no name check.
+  const uint64_t version_at_lookup = version();
+  auto key = std::make_tuple(name, version_at_lookup, opts.window_days.lo,
+                             opts.window_days.hi);
   {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto def = defs_.find(name);
-    if (def != defs_.end()) lifespan = def->second.lifespan_days;
-  }
-  if (lifespan.has_value()) {
-    std::optional<Interval> clamped = Intersect(opts.window_days, *lifespan);
-    if (!clamped.has_value()) {
-      return Calendar::Order1(resolved.granularity, {});
-    }
-    opts.window_days = *clamped;
-  }
-  switch (resolved.kind) {
-    case ResolvedCalendar::Kind::kBase: {
-      CALDB_ASSIGN_OR_RETURN(
-          Interval window,
-          IntervalToUnit(time_system_, Granularity::kDays, opts.window_days,
-                         resolved.granularity));
-      return GenerateBaseCalendar(time_system_, resolved.granularity,
-                                  resolved.granularity, window, /*clip=*/false);
-    }
-    case ResolvedCalendar::Kind::kValues: {
-      CALDB_ASSIGN_OR_RETURN(
-          Interval window,
-          IntervalToUnit(time_system_, Granularity::kDays, opts.window_days,
-                         resolved.granularity));
-      return ForEachInterval(resolved.values, ListOp::kOverlaps, window,
-                             /*strict=*/false);
-    }
-    case ResolvedCalendar::Kind::kDerived: {
-      // Keyed by the version captured at the top: if a Define*/Drop lands
-      // mid-evaluation (bumping the version and clearing the cache), this
-      // miss's insert files under the captured — now old — version,
-      // unreachable by any post-mutation lookup.  Without the version key
-      // a racing insert could land after the clear and serve stale
-      // content to every later caller.
-      auto key = std::make_tuple(name, version_at_resolve, opts.window_days.lo,
-                                 opts.window_days.hi);
-      {
-        std::lock_guard<std::mutex> cache_lock(cache_mu_);
-        auto cached = eval_cache_.find(key);
-        if (cached != eval_cache_.end()) {
-          Metrics().eval_cache_hits->Increment();
-          return cached->second;  // a COW handle copy
-        }
-      }
-      // Evaluate unlocked: two racing misses both compute the (identical)
-      // value; the second insert overwrites the first.
-      Metrics().eval_cache_misses->Increment();
-      obs::ScopedLatency latency(Metrics().eval_ns);
-      Evaluator evaluator(&time_system_, this);
-      CALDB_ASSIGN_OR_RETURN(ScriptValue value,
-                             evaluator.Run(*resolved.plan, opts, stats));
-      if (value.kind == ScriptValue::Kind::kNull) {
-        return Calendar::Order1(resolved.plan->unit, {});
-      }
-      if (value.kind != ScriptValue::Kind::kCalendar) {
-        return Status::EvalError("calendar '" + name +
-                                 "' evaluated to a non-calendar value");
-      }
-      // A value that read `today` depends on opts.today_day, which the key
-      // leaves out: never keep it.
-      if (!evaluator.read_today()) {
-        std::lock_guard<std::mutex> cache_lock(cache_mu_);
-        eval_cache_[key] = value.calendar;
-      }
-      return value.calendar;
+    std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    auto cached = eval_cache_.find(key);
+    if (cached != eval_cache_.end()) {
+      Metrics().eval_cache_hits->Increment();
+      return cached->second;  // a COW handle copy
     }
   }
-  return Status::Internal("unknown resolved-calendar kind");
+  // Evaluate unlocked: two racing misses both compute the (identical)
+  // value; the second insert overwrites the first.
+  CALDB_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan, PlanOfName(name));
+  Metrics().eval_cache_misses->Increment();
+  obs::ScopedLatency latency(Metrics().eval_ns);
+  Evaluator evaluator(&time_system_, this);
+  CALDB_ASSIGN_OR_RETURN(ScriptValue value, evaluator.Run(*plan, opts, stats));
+  if (value.kind == ScriptValue::Kind::kNull) {
+    return Calendar::Order1(plan->unit, {});
+  }
+  if (value.kind != ScriptValue::Kind::kCalendar) {
+    return Status::EvalError("calendar '" + name +
+                             "' evaluated to a non-calendar value");
+  }
+  // A value that read `today` depends on opts.today_day, which the key
+  // leaves out: never keep it.
+  if (!evaluator.read_today()) {
+    std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    if (eval_cache_.size() >= kPlanCacheCapacity) eval_cache_.clear();
+    eval_cache_[key] = value.calendar;
+  }
+  return value.calendar;
+}
+
+Result<std::shared_ptr<const Plan>> CalendarCatalog::PlanOfName(
+    const std::string& name) const {
+  // Checked first: text that is not a name is never compiled or run.
+  if (!Contains(name)) {
+    return Status::NotFound("unknown calendar '" + name + "'");
+  }
+  return CachedPlan(name);
 }
 
 Result<ScriptValue> CalendarCatalog::EvaluateScript(
@@ -550,20 +527,9 @@ Result<std::optional<TimePoint>> SearchYearWindows(
 
 Result<std::optional<TimePoint>> CalendarCatalog::NextFireDay(
     const std::string& name, TimePoint after_day, TimePoint limit_day) const {
-  CALDB_RETURN_IF_ERROR(Resolve(name).status());
-  const TimePoint today = PointAdd(after_day, 1);
-  return SearchYearWindows(
-      time_system_.CivilFromDayPoint(today).year,
-      time_system_.CivilFromDayPoint(limit_day).year, after_day, limit_day,
-      [&](int32_t first_year, int32_t last_year)
-          -> Result<std::shared_ptr<const NextFireMemo::Points>> {
-        EvalOptions opts;
-        CALDB_ASSIGN_OR_RETURN(opts.window_days,
-                               YearWindow(first_year, last_year));
-        opts.today_day = today;
-        CALDB_ASSIGN_OR_RETURN(Calendar cal, EvaluateCalendar(name, opts));
-        return UnitPoints(time_system_, cal, Granularity::kDays);
-      });
+  CALDB_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan, PlanOfName(name));
+  return NextFirePoint(*plan, after_day, limit_day, Granularity::kDays,
+                       PointAdd(after_day, 1));
 }
 
 Result<std::optional<TimePoint>> CalendarCatalog::NextFireDayForPlan(
@@ -574,12 +540,17 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFireDayForPlan(
 Result<std::optional<TimePoint>> CalendarCatalog::NextFirePointForPlan(
     const Plan& plan, TimePoint after_point, TimePoint limit_point,
     Granularity unit) const {
-  // Convert unit points to a day anchor for the year-aligned search
-  // windows.
+  // `today` is the day of after_point.
   CALDB_ASSIGN_OR_RETURN(
       Interval after_days,
       IntervalToUnit(time_system_, unit, PointInterval(after_point),
                      Granularity::kDays));
+  return NextFirePoint(plan, after_point, limit_point, unit, after_days.lo);
+}
+
+Result<std::optional<TimePoint>> CalendarCatalog::NextFirePoint(
+    const Plan& plan, TimePoint after_point, TimePoint limit_point,
+    Granularity unit, TimePoint today_day) const {
   CALDB_ASSIGN_OR_RETURN(
       Interval limit_days,
       IntervalToUnit(time_system_, unit, PointInterval(limit_point),
@@ -590,7 +561,7 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFirePointForPlan(
   const uint64_t version_at_start = version();
   std::optional<Evaluator> evaluator;  // built on the first memo miss
   return SearchYearWindows(
-      time_system_.CivilFromDayPoint(after_days.lo).year,
+      time_system_.CivilFromDayPoint(today_day).year,
       time_system_.CivilFromDayPoint(limit_days.hi).year, after_point,
       limit_point,
       [&](int32_t first_year, int32_t last_year)
@@ -608,7 +579,7 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFirePointForPlan(
         EvalOptions opts;
         CALDB_ASSIGN_OR_RETURN(opts.window_days,
                                YearWindow(first_year, last_year));
-        opts.today_day = after_days.lo;
+        opts.today_day = today_day;
         if (!evaluator.has_value()) evaluator.emplace(&time_system_, this);
         CALDB_ASSIGN_OR_RETURN(ScriptValue value, evaluator->Run(plan, opts));
         std::shared_ptr<const NextFireMemo::Points> points;

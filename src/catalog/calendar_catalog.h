@@ -62,7 +62,8 @@ class CalendarCatalog : public CalendarSource {
   /// this catalog, factorized, and compiled; its granularity is inferred
   /// from the script's smallest time unit (the paper: "In most cases, the
   /// granularity can be inferred from the derivation-script").
-  /// AlreadyExists if the name is taken (including the base names).
+  /// AlreadyExists if the name is taken (including the base names);
+  /// InvalidArgument if it does not lex as exactly one identifier.
   Status DefineDerived(const std::string& name, const std::string& script_text,
                        std::optional<Interval> lifespan_days = std::nullopt);
 
@@ -90,10 +91,10 @@ class CalendarCatalog : public CalendarSource {
 
   // --- evaluation -------------------------------------------------------
 
-  /// Evaluates a named calendar over opts.window_days.  For a derived
-  /// calendar this runs its eval-plan; for a value calendar it returns the
-  /// stored intervals overlapping the window; for a base calendar it
-  /// materializes granules overlapping the window.
+  /// Evaluates a named calendar over opts.window_days ∩ its lifespan:
+  /// exactly the script `cal <name>`, on its plan from CachedPlan.
+  /// NotFound, running nothing, when `name` is not a calendar.  Values
+  /// that did not read `today` are kept in the eval cache.
   Result<Calendar> EvaluateCalendar(const std::string& name,
                                     const EvalOptions& opts,
                                     EvalStats* stats = nullptr) const;
@@ -136,8 +137,10 @@ class CalendarCatalog : public CalendarSource {
   /// calendar, searching no further than `limit_day`.  Evaluation windows
   /// are whole years, doubling in width, so that month/year-relative
   /// selections ([n]/DAYS:during:MONTHS) stay meaningful.  nullopt when
-  /// none found.  Each window goes through EvaluateCalendar (its eval
-  /// cache and lifespan clamp), with `today` the day after `after_day`.
+  /// none found.  The search is NextFirePointForPlan's, memo included, on
+  /// the plan of `cal <name>` (CachedPlan, so the lifespan applies), with
+  /// `today` the day after `after_day`.  NotFound when `name` is not a
+  /// calendar.
   Result<std::optional<TimePoint>> NextFireDay(const std::string& name,
                                                TimePoint after_day,
                                                TimePoint limit_day) const;
@@ -171,6 +174,18 @@ class CalendarCatalog : public CalendarSource {
   Result<Plan> CompileScriptText(const std::string& script_text, Script* script,
                                  CompileReport* report) const;
 
+  // The cached plan of `cal <name>`; NotFound when `name` is not a
+  // calendar.
+  Result<std::shared_ptr<const Plan>> PlanOfName(const std::string& name) const;
+
+  // NextFirePointForPlan with `today` at `today_day`, the search starting
+  // in that day's year.
+  Result<std::optional<TimePoint>> NextFirePoint(const Plan& plan,
+                                                 TimePoint after_point,
+                                                 TimePoint limit_point,
+                                                 Granularity unit,
+                                                 TimePoint today_day) const;
+
   // Requires mu_ held (either mode); callers lock.
   Status CheckNameFreeLocked(const std::string& name) const;
 
@@ -201,11 +216,12 @@ class CalendarCatalog : public CalendarSource {
   // lands under the old version and is unreachable by post-mutation
   // lookups — the clear alone could not guarantee that.
   std::atomic<uint64_t> version_{1};
-  // Evaluated values of derived calendars, keyed by (name, catalog
-  // version, window) — the caching role of the CALENDARS row's `values`
-  // column.  Cleared on Define*/Drop; the version key component is what
-  // makes a stale racing insert harmless (see version_ above).  Values
-  // that read `today` are never inserted: the key has no today.
+  // Evaluated values of named calendars, keyed by (name, catalog version,
+  // window) — the caching role of the CALENDARS row's `values` column.
+  // Cleared on Define*/Drop; the version key component is what makes a
+  // stale racing insert harmless (see version_ above).  Values that read
+  // `today` are never inserted: the key has no today.  An insert into a
+  // cache holding kPlanCacheCapacity entries clears it first.
   mutable std::mutex cache_mu_;
   mutable std::map<std::tuple<std::string, uint64_t, TimePoint, TimePoint>,
                    Calendar>

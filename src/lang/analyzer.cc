@@ -194,12 +194,14 @@ Status Analyzer::ResolveIdent(ExprPtr* node_ptr, Scope* scope) {
                                 "' has no parsed derivation script");
       }
       // Single-expression derivations are inlined, as in the paper's
-      // parsing algorithm; multi-statement scripts are invoked at runtime.
+      // parsing algorithm; multi-statement scripts are invoked at runtime,
+      // and so is a calendar with a lifespan, which kInvoke applies (an
+      // inlined copy would read its expression over the caller's window).
       const Script& script = *resolved.script;
       const bool single_expr = script.stmts.size() == 1 &&
                                script.stmts[0].kind == Stmt::Kind::kReturn &&
                                !script.stmts[0].returns_string;
-      if (!single_expr) {
+      if (!single_expr || resolved.lifespan_days.has_value()) {
         node->ident_class = IdentClass::kDerivedCalendar;
         node->sem_granularity = resolved.granularity;
         RecordLeaf(resolved.granularity);

@@ -3,7 +3,8 @@
 //  - resolve identifiers (base calendar / derived calendar / stored values /
 //    script variable / `today`);
 //  - inline single-expression derived calendars ("when a derived calendar
-//    is encountered, replace it by its derivation script");
+//    is encountered, replace it by its derivation script") that have no
+//    lifespan; the rest are invoked, their lifespan applied at runtime;
 //  - annotate every node with its semantic granularity (needed by the
 //    factorization rule);
 //  - determine the smallest time unit of the script;

@@ -7,6 +7,7 @@
 #define CALDB_LANG_CALENDAR_SOURCE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/result.h"
@@ -28,6 +29,10 @@ struct ResolvedCalendar {
 
   Kind kind = Kind::kBase;
   Granularity granularity = Granularity::kDays;
+  // The row's lifespan in DAYS points (nullopt = unbounded; base calendars
+  // have none).  The calendar has no values outside it: every reference
+  // reads it over the step window intersected with the lifespan.
+  std::optional<Interval> lifespan_days;
 
   // kDerived: the parsed derivation script and its compiled eval-plan
   // (the CALENDARS table's derivation-script / eval-plan columns).

@@ -210,6 +210,30 @@ Result<std::optional<Interval>> Evaluator::WindowFor(
   return Status::Internal("unknown window-hint mode");
 }
 
+Result<std::optional<Interval>> Evaluator::StoredWindow(
+    const PlanStep& step, const Frame& frame,
+    const std::optional<Interval>& lifespan_days, Interval* days) const {
+  CALDB_ASSIGN_OR_RETURN(std::optional<Interval> window, WindowFor(step, frame));
+  if (!window) return window;
+  // A step without a hint reads the global window, passed on in the
+  // caller's own DAYS form, so a reference at any depth sees exactly
+  // window ∩ lifespan, not the coarser-unit granules touching both.
+  *days = frame.opts->window_days;
+  if (frame.opts->use_window_hints &&
+      step.hint.mode != WindowHint::Mode::kNone) {
+    CALDB_ASSIGN_OR_RETURN(*days, IntervalToUnit(*ts_, frame.plan->unit,
+                                                 *window, Granularity::kDays));
+  }
+  if (!lifespan_days) return window;
+  std::optional<Interval> lived = Intersect(*days, *lifespan_days);
+  if (!lived) return lived;
+  *days = *lived;
+  CALDB_ASSIGN_OR_RETURN(
+      Interval lived_unit,
+      IntervalToUnit(*ts_, Granularity::kDays, *days, frame.plan->unit));
+  return Intersect(*window, lived_unit);
+}
+
 Status Evaluator::RunStep(const PlanStep& step, Frame* frame,
                           ScriptValue* returned, bool* did_return) {
   if (stats_ != nullptr) ++stats_->steps_executed;
@@ -301,8 +325,10 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
       }
       CALDB_ASSIGN_OR_RETURN(Calendar values,
                              Rescale(*ts_, resolved.values, unit));
-      CALDB_ASSIGN_OR_RETURN(std::optional<Interval> window,
-                             WindowFor(step, *frame));
+      Interval days;
+      CALDB_ASSIGN_OR_RETURN(
+          std::optional<Interval> window,
+          StoredWindow(step, *frame, resolved.lifespan_days, &days));
       if (!window) {
         set(step.dst, Calendar::Order1(unit, {}));
         return Status::OK();
@@ -327,17 +353,16 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
         return Status::EvalError("calendar '" + name +
                                  "' has no evaluation plan");
       }
-      CALDB_ASSIGN_OR_RETURN(std::optional<Interval> window,
-                             WindowFor(step, *frame));
+      // The nested evaluation takes its window in DAYS.
+      EvalOptions inner_opts = *frame->opts;
+      CALDB_ASSIGN_OR_RETURN(
+          std::optional<Interval> window,
+          StoredWindow(step, *frame, resolved.lifespan_days,
+                       &inner_opts.window_days));
       if (!window) {
         set(step.dst, Calendar::Order1(unit, {}));
         return Status::OK();
       }
-      // The nested evaluation takes its window in DAYS.
-      EvalOptions inner_opts = *frame->opts;
-      CALDB_ASSIGN_OR_RETURN(
-          inner_opts.window_days,
-          IntervalToUnit(*ts_, unit, *window, Granularity::kDays));
       CALDB_ASSIGN_OR_RETURN(
           ScriptValue value,
           RunPlan(*resolved.plan, inner_opts, frame->depth + 1));

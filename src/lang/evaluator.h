@@ -166,6 +166,13 @@ class Evaluator {
   // empty when its hint operand is empty (nothing to generate).
   Result<std::optional<Interval>> WindowFor(const PlanStep& step,
                                             const Frame& frame) const;
+  // The window a stored calendar (kLoadValues, kInvoke) is read over, in
+  // plan-unit points: WindowFor intersected with the calendar's lifespan;
+  // empty when they do not meet.  Sets *days to the same window in DAYS,
+  // the form a nested evaluation takes.
+  Result<std::optional<Interval>> StoredWindow(
+      const PlanStep& step, const Frame& frame,
+      const std::optional<Interval>& lifespan_days, Interval* days) const;
   Result<Calendar> ReadReg(const Frame& frame, int reg, int line_hint) const;
 
   const TimeSystem* ts_;

@@ -3,8 +3,9 @@
 // fresh compiles do across redefinitions and drops of the calendars they
 // inline or invoke, the LRU stays within its capacity, compile errors are
 // never cached, and sessions share one cached plan while another session
-// redefines a calendar it inlines (tools/check.sh runs this test under
-// ThreadSanitizer).
+// redefines a calendar it inlines, or read a calendar with a lifespan by
+// name and by next firing while it is redefined (tools/check.sh runs this
+// test under ThreadSanitizer).
 
 #include <atomic>
 #include <set>
@@ -234,6 +235,77 @@ TEST(PlanCacheConcurrencyTest, SessionsShareAPlanAcrossRedefinitions) {
       EXPECT_TRUE(
           session->DefineCalendar("PAYDAY", defs[static_cast<size_t>(i % 2)])
               .ok());
+    }
+  });
+  for (std::thread& t : readers) t.join();
+  writer.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_TRUE(engine->Stop().ok());
+}
+
+// Reader sessions read a calendar with a lifespan by name and search its
+// next firing while a writer redefines it: every value is one of the two
+// definitions' (each within its own lifespan), or the unknown-calendar
+// error of the moment between a drop and the next definition.
+TEST(PlanCacheConcurrencyTest, LifespanCalendarReadByNameAcrossRedefinitions) {
+  auto engine = Engine::Create().value();
+  auto setup = engine->CreateSession();
+  struct Def {
+    std::string script;
+    Interval lifespan;
+  };
+  const std::vector<Def> defs = {{"[1]/DAYS:during:MONTHS", Interval{1, 60}},
+                                 {"[2]/DAYS:during:MONTHS", Interval{1, 90}}};
+  const std::string name = "EARLY";
+  std::set<std::string> allowed;
+  std::set<TimePoint> allowed_next;
+  for (const Def& def : defs) {
+    ASSERT_TRUE(setup->DefineCalendar(name, def.script, def.lifespan).ok());
+    Result<Calendar> value = setup->EvalCalendar(name);
+    ASSERT_TRUE(value.ok()) << value.status();
+    allowed.insert(value->ToString());
+    Result<std::optional<TimePoint>> next =
+        engine->catalog().NextFireDay(name, 10, 365);
+    ASSERT_TRUE(next.ok() && next->has_value()) << next.status();
+    allowed_next.insert(**next);
+    ASSERT_TRUE(engine->DropCalendar(name).ok());
+  }
+  ASSERT_EQ(allowed.size(), 2u);
+  ASSERT_TRUE(
+      setup->DefineCalendar(name, defs[0].script, defs[0].lifespan).ok());
+
+  constexpr int kReaders = 3;
+  std::atomic<int> readers_done{0};
+  std::atomic<int> bad{0};
+  auto unknown = [&](const Status& status) {
+    return status.message().find(name) != std::string::npos;
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      auto session = engine->CreateSession();
+      for (int i = 0; i < 200; ++i) {
+        Result<Calendar> value = session->EvalCalendar(name);
+        if (value.ok() ? allowed.count(value->ToString()) == 0
+                       : !unknown(value.status())) {
+          ++bad;
+        }
+        Result<std::optional<TimePoint>> next =
+            engine->catalog().NextFireDay(name, 10, 365);
+        if (next.ok() ? !next->has_value() || allowed_next.count(**next) == 0
+                      : !unknown(next.status())) {
+          ++bad;
+        }
+      }
+      ++readers_done;
+    });
+  }
+  std::thread writer([&] {
+    auto session = engine->CreateSession();
+    for (int i = 0; readers_done.load() < kReaders; ++i) {
+      const Def& def = defs[static_cast<size_t>(i % 2)];
+      EXPECT_TRUE(engine->DropCalendar(name).ok());
+      EXPECT_TRUE(session->DefineCalendar(name, def.script, def.lifespan).ok());
     }
   });
   for (std::thread& t : readers) t.join();

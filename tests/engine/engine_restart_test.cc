@@ -427,6 +427,40 @@ TEST(EngineRestart, ManualCheckpointTruncatesTheWal) {
   EXPECT_GT(std::filesystem::file_size(dir + "/wal"), 0u);
 }
 
+// A calendar name must be one identifier: "pay day" would be written to
+// the checkpoint as a header line the restore cannot split, so it is
+// refused at define time, and the engine's checkpoint reopens.
+TEST(EngineRestart, UnreferenceableCalendarNamesAreRefusedAndCheckpointsReopen) {
+  std::string dir = FreshDataDir("caldb_restart_names");
+  {
+    auto engine = Engine::Create(DurableOptions(dir));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    auto session = (*engine)->CreateSession();
+    for (const char* bad : {"pay day", "if", "x(y)", ""}) {
+      EXPECT_EQ(session->DefineCalendar(bad, "[1]/DAYS:during:MONTHS").code(),
+                StatusCode::kInvalidArgument)
+          << bad;
+    }
+    ASSERT_TRUE(session
+                    ->DefineCalendar("PAY-DAY", "[1]/DAYS:during:MONTHS",
+                                     Interval{1, 60})
+                    .ok());
+    ASSERT_TRUE((*engine)->Checkpoint().ok());
+    ASSERT_TRUE((*engine)->Stop().ok());
+  }
+  auto engine = Engine::Create(DurableOptions(dir));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_TRUE((*engine)->recovery_stats().snapshot_loaded);
+  EXPECT_EQ((*engine)->catalog().ListCalendars(),
+            std::vector<std::string>{"PAY-DAY"});
+  auto session = (*engine)->CreateSession();
+  session->SetWindow(Interval{1, 365});
+  Result<Calendar> pay_days = session->EvalCalendar("PAY-DAY");
+  ASSERT_TRUE(pay_days.ok()) << pay_days.status().ToString();
+  // The first days of the months that start inside the lifespan.
+  EXPECT_EQ(pay_days->ToString(), "{(1,1),(32,32),(60,60)}");
+}
+
 TEST(EngineRestart, InMemoryEngineRejectsCheckpoint) {
   auto engine = Engine::Create(EngineOptions{});
   ASSERT_TRUE(engine.ok());

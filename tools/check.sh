@@ -61,13 +61,15 @@ if [[ "$run_asan" == 1 ]]; then
   # run here too.  Every granule conversion between units (windows,
   # `today`, rescaling, next-fire anchors) runs through IntervalToUnit,
   # whose skip-zero point arithmetic the evaluator, next-fire and
-  # granularity-sweep suites drive on both sides of the epoch.
+  # granularity-sweep suites drive on both sides of the epoch; the
+  # catalog suite's lifespan differential drives the lifespan clamp's
+  # conversions the same way.
   ubsan_dir="$repo_root/build-ubsan"
   ubsan_tests=(sweep_test calendar_rep_test algebra_test calendar_test
                foreach_paper_examples_test lexer_test parser_test query_test
                pattern_test random_expression_test front_end_fuzz_test
                literal_lifting_test evaluator_test next_fire_test
-               granularity_sweep_test)
+               granularity_sweep_test catalog_test)
   cmake -B "$ubsan_dir" -S "$repo_root" -DCALDB_SANITIZE=undefined
   cmake --build "$ubsan_dir" -j "$(nproc)" --target "${ubsan_tests[@]}"
   ubsan_regex="^($(IFS='|'; echo "${ubsan_tests[*]}"))\$"
@@ -82,8 +84,9 @@ if [[ "$run_tsan" == 1 ]]; then
   # rings: writers finishing spans and rotating chunks while another
   # thread snapshots and clears (tests/obs/trace_test.cc), and sessions
   # evaluating one shared cached plan while another session redefines a
-  # calendar it inlines (tests/catalog/plan_cache_test.cc).  TSan cannot
-  # combine with ASan, so it gets its own tree; any data race in the
+  # calendar it inlines, or reading a calendar with a lifespan by name and
+  # by next firing while it is redefined (tests/catalog/plan_cache_test.cc).
+  # TSan cannot combine with ASan, so it gets its own tree; any data race in the
   # Engine/LockManager/Session/ThreadPool/catalog/Tracer locking shows up
   # here as a hard failure.
   tsan_dir="$repo_root/build-tsan"
